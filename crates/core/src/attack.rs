@@ -132,8 +132,9 @@ pub struct AttackConfig {
     /// on the calling thread. Applied process-wide (via
     /// [`bea_tensor::threads::set_threads`]) when the attack starts.
     /// Threaded kernels are `==`-identical to the serial ones, so this is
-    /// a pure speed knob; campaigns that already shard across `--jobs`
-    /// workers may set `1` to avoid oversubscription.
+    /// a pure speed knob. Kernels called inside a fan-out (GA evaluation
+    /// chunks, campaign cells) run on the fan-out's worker instead; see
+    /// the nesting rule in [`bea_tensor::threads`].
     pub threads: usize,
 }
 

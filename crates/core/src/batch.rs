@@ -31,7 +31,7 @@
 use bea_detect::{CacheStats, Detector, GradientObjective, InputGradient, Prediction};
 use bea_image::{FilterMask, Image};
 use bea_tensor::FeatureMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 struct GateState {
     /// Members still attacking (posted or about to post).
@@ -57,7 +57,7 @@ pub struct BatchGate {
 
 impl std::fmt::Debug for BatchGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock().expect("gate lock");
+        let state = self.lock();
         f.debug_struct("BatchGate")
             .field("detector", &self.inner.name())
             .field("members", &state.posts.len())
@@ -89,14 +89,21 @@ impl BatchGate {
     /// The detector handle of member `id` (in `0..members`). Dropping
     /// the handle marks the member as departed.
     pub fn member(self: &Arc<Self>, id: usize) -> GateDetector {
-        let members = self.state.lock().expect("gate lock").posts.len();
+        let members = self.lock().posts.len();
         assert!(id < members, "member id {id} out of range 0..{members}");
         GateDetector { gate: Arc::clone(self), id }
     }
 
     /// Members that have not departed yet (for tests and diagnostics).
     pub fn active_members(&self) -> usize {
-        self.state.lock().expect("gate lock").active
+        self.lock().active
+    }
+
+    /// The gate state, recovered from poison: a member that panicked
+    /// while holding the lock must fail its own job, not every member's.
+    /// The gate raises its own misuse panic only after releasing it.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Posts member `id`'s batch and blocks until the union pass that
@@ -104,11 +111,13 @@ impl BatchGate {
     fn rendezvous(&self, id: usize, imgs: &[&Image]) -> Vec<Prediction> {
         let owned: Vec<Image> = imgs.iter().map(|img| (*img).clone()).collect();
         let batch_len = owned.len();
-        let mut state = self.state.lock().expect("gate lock");
-        assert!(
-            state.posts[id].is_none(),
-            "gate member {id} posted concurrently — run gated attacks with threads=1"
-        );
+        let mut state = self.lock();
+        if state.posts[id].is_some() {
+            // Panic only once the guard is gone, so the lock stays clean
+            // for the members still waiting on it.
+            drop(state);
+            panic!("gate member {id} posted concurrently: one post per member per round");
+        }
         state.posts[id] = Some(owned);
         state.arrived += 1;
         self.ready.notify_all();
@@ -135,7 +144,7 @@ impl BatchGate {
                 let predictions = self.inner.detect_batch(&union);
                 debug_assert_eq!(predictions.len(), union.len());
 
-                state = self.state.lock().expect("gate lock");
+                state = self.lock();
                 let mut offset = 0;
                 for (member, imgs) in &round {
                     let end = offset + imgs.len();
@@ -147,14 +156,14 @@ impl BatchGate {
                 let result = state.results[id].take().expect("executor's own slice");
                 return result;
             }
-            state = self.ready.wait(state).expect("gate lock");
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Marks a member as departed; if the departure completes the
     /// current round's quorum, a waiting member is woken to execute it.
     fn leave(&self, id: usize) {
-        let mut state = self.state.lock().expect("gate lock");
+        let mut state = self.lock();
         debug_assert!(state.posts[id].is_none(), "member left while waiting in the gate");
         state.active -= 1;
         drop(state);
@@ -221,7 +230,12 @@ impl Detector for GateDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::attack::AttackConfig;
+    use crate::campaign::{Campaign, CampaignConfig, CellSpec};
+    use crate::report::write_csv;
+    use crate::test_fixtures::Toy;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// A detector whose prediction depends only on the image, with
     /// counters for how the calls were grouped. Cloning shares the
@@ -364,5 +378,115 @@ mod tests {
         assert!(detector.cache_stats().is_none());
         assert!(detector.input_gradient(&a, GradientObjective::default()).is_none());
         assert_eq!(detector.heatmap(&a).shape(), (0, 0, 0));
+    }
+
+    const MEMBERS: usize = 3;
+
+    fn member_campaign(eval_threads: usize) -> Campaign {
+        let mut attack = AttackConfig::scaled(10, 3);
+        attack.nsga2.eval_threads = eval_threads;
+        Campaign::new(CampaignConfig { attack, base_seed: 11, jobs: 1, telemetry: false })
+    }
+
+    /// Runs member `member`'s single-cell campaign on `detector` and
+    /// renders its rows as the CSV bytes a store would persist.
+    fn cell_csv(member: usize, eval_threads: usize, detector: Box<dyn Detector>) -> Vec<u8> {
+        let slot = Mutex::new(Some(detector));
+        let result = member_campaign(eval_threads).run(
+            &[CellSpec::new("toy", 1, member)],
+            |_| slot.lock().unwrap().take().expect("one detector per cell"),
+            |_| Image::black(24, 12),
+        );
+        let mut csv = Vec::new();
+        write_csv(&result.cells[0].rows, &mut csv).unwrap();
+        csv
+    }
+
+    /// One gate group over [`Toy`], run through the fan-out the server's
+    /// gate groups use, each member's job contained by `catch_unwind` as
+    /// a server worker does. `wrap` builds member `k`'s detector.
+    fn run_gate_group<W>(eval_threads: usize, wrap: W) -> Vec<Result<Vec<u8>, String>>
+    where
+        W: Fn(usize, GateDetector) -> Box<dyn Detector> + Sync,
+    {
+        let gate = BatchGate::new(Box::new(Toy), MEMBERS);
+        bea_tensor::threads::fan_out(MEMBERS, MEMBERS, |member| {
+            let detector = wrap(member, gate.member(member));
+            std::panic::catch_unwind(AssertUnwindSafe(|| cell_csv(member, eval_threads, detector)))
+                .map_err(|panic| {
+                    panic.downcast_ref::<String>().cloned().unwrap_or_else(|| "panic".to_string())
+                })
+        })
+    }
+
+    #[test]
+    fn gated_members_with_threaded_evaluation_match_solo_runs() {
+        // Every member asks for two evaluation threads; as fan-out
+        // workers they evaluate inline, posting once per round.
+        let gated = run_gate_group(2, |_, handle| Box::new(handle));
+        for (member, csv) in gated.into_iter().enumerate() {
+            let solo = cell_csv(member, 0, Box::new(Toy));
+            assert_eq!(csv.expect("gated member succeeds"), solo, "member {member}");
+        }
+    }
+
+    /// A gate member for the misuse test. The `double` member posts each
+    /// batch twice at once; the others hold their posts until that second
+    /// post is done, so it always lands while the first is still waiting.
+    struct Misuse {
+        handle: GateDetector,
+        double: bool,
+        released: Arc<AtomicBool>,
+    }
+
+    /// Releases the held members when dropped, including during unwinding.
+    struct Release<'a>(&'a AtomicBool);
+
+    impl Drop for Release<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    impl Detector for Misuse {
+        fn detect(&self, img: &Image) -> Prediction {
+            self.handle.detect(img)
+        }
+
+        fn name(&self) -> &str {
+            "misuse"
+        }
+
+        fn detect_batch_into(&self, imgs: &[&Image], out: &mut Vec<Prediction>) {
+            if !self.double {
+                while !self.released.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                return self.handle.detect_batch_into(imgs, out);
+            }
+            std::thread::scope(|scope| {
+                let first = scope.spawn(|| self.handle.detect_batch(imgs));
+                while self.handle.gate.lock().posts[self.handle.id].is_none() {
+                    std::thread::yield_now();
+                }
+                let _release = Release(&self.released);
+                self.handle.detect_batch_into(imgs, out);
+                first.join().expect("the first post completes its round");
+            });
+        }
+    }
+
+    #[test]
+    fn a_member_posting_twice_fails_only_its_own_job() {
+        let released = Arc::new(AtomicBool::new(false));
+        let outcomes = run_gate_group(1, |member, handle| {
+            Box::new(Misuse { handle, double: member == 0, released: Arc::clone(&released) })
+        });
+        let failure = outcomes[0].as_ref().expect_err("the double-posting member fails");
+        assert!(failure.contains("posted concurrently"), "{failure}");
+        for (member, csv) in outcomes.into_iter().enumerate().skip(1) {
+            let solo = cell_csv(member, 0, Box::new(Toy));
+            assert_eq!(csv.expect("the rest of the group finishes"), solo, "member {member}");
+        }
     }
 }

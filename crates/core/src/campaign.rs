@@ -22,11 +22,12 @@
 //!    where it stopped.
 
 use crate::attack::{AttackConfig, AttackOutcome, ButterflyAttack};
-use crate::grid::{fnv1a, resolve_jobs, run_sharded};
+use crate::grid::fnv1a;
 use crate::report::{champion_rows, front_rows, read_csv, write_csv, AttackRow};
 use crate::telemetry::{self, JsonObject};
 use bea_detect::Detector;
 use bea_image::{FilterMask, Image};
+use bea_tensor::threads;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -109,8 +110,9 @@ pub struct CampaignConfig {
     /// Base seed every cell seed is derived from.
     pub base_seed: u64,
     /// Worker threads sharding the cells: `0` uses every available core,
-    /// `1` runs sequentially. With more than one worker, each cell's
-    /// inner evaluation runs single-threaded to avoid oversubscription.
+    /// `1` runs sequentially. With more than one worker, each cell's GA
+    /// evaluation and kernels run on its worker thread; see the nesting
+    /// rule in [`bea_tensor::threads`].
     pub jobs: usize,
     /// Buffer per-generation telemetry records (and write them when a
     /// store is attached).
@@ -611,14 +613,7 @@ impl Campaign {
             }
         }
 
-        let jobs = resolve_jobs(self.config.jobs);
-        // With cells sharded across workers, nested evaluation threads
-        // would oversubscribe the host; sequential campaigns keep the
-        // configured inner parallelism. Neither choice affects results.
-        let mut attack_config = self.config.attack.clone();
-        if jobs > 1 {
-            attack_config.nsga2.eval_threads = 1;
-        }
+        let jobs = threads::resolve(self.config.jobs);
 
         let mut slots: Vec<Option<CellResult>> = Vec::new();
         slots.resize_with(specs.len(), || None);
@@ -647,8 +642,8 @@ impl Campaign {
             }
         }
 
-        let computed = run_sharded(jobs, pending.len(), |k| {
-            self.run_cell(&specs[pending[k]], &attack_config, detector_for, image_for, observe)
+        let computed = threads::fan_out(jobs, pending.len(), |k| {
+            self.run_cell(&specs[pending[k]], detector_for, image_for, observe)
         });
         for (k, cell) in computed.into_iter().enumerate() {
             slots[pending[k]] = Some(cell);
@@ -671,7 +666,6 @@ impl Campaign {
     fn run_cell<D, I>(
         &self,
         spec: &CellSpec,
-        attack_config: &AttackConfig,
         detector_for: &D,
         image_for: &I,
         observe: Option<GenerationObserver<'_>>,
@@ -681,7 +675,7 @@ impl Campaign {
         I: Fn(&CellSpec) -> Image + Sync,
     {
         let seed = derive_cell_seed(self.config.base_seed, spec.model_seed, spec.image_index);
-        let mut config = attack_config.clone();
+        let mut config = self.config.attack.clone();
         config.nsga2.seed = seed;
         let attack = ButterflyAttack::new(config);
         let detector = detector_for(spec);

@@ -1,64 +1,7 @@
-//! Deterministic sharded execution — the worker-pool core shared by
-//! [`crate::campaign::Campaign`] and [`crate::transfer::TransferGrid`].
-//!
-//! Both grid runners follow the same discipline: enumerate work units in
-//! a caller-defined order, pull unit indices from a shared cursor across
-//! `jobs` scoped worker threads, and commit each result into the slot of
-//! its *index* — never into arrival order. Scheduling therefore cannot
-//! influence any output, which is what lets the determinism suites pin
-//! byte-identical artifacts across `--jobs` values.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Resolves a `--jobs` setting: `0` means every available core.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
-/// Runs `count` independent work units across at most `workers` scoped
-/// threads and returns the results in unit order.
-///
-/// Units are claimed through a shared atomic cursor, so the set of units
-/// each thread executes depends on timing — but every result lands in
-/// `out[index]`, making the returned vector independent of scheduling.
-/// `run` must therefore be a pure function of the unit index.
-///
-/// # Panics
-///
-/// Panics if a worker panics (the panic is propagated, not swallowed).
-pub fn run_sharded<T, F>(workers: usize, count: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if count == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, count);
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(count, || None);
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<&mut Vec<Option<T>>> = Mutex::new(&mut slots);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= count {
-                    break;
-                }
-                let value = run(k);
-                results.lock().expect("no worker panicked holding the lock")[k] = Some(value);
-            });
-        }
-    })
-    .expect("sharded workers must not panic");
-    slots.into_iter().map(|slot| slot.expect("every unit filled")).collect()
-}
+//! Grid fingerprints shared by [`crate::campaign::Campaign`] and
+//! [`crate::transfer::TransferGrid`]. Both runners spread their work
+//! units over [`bea_tensor::threads::fan_out`], which commits each result
+//! into the slot of its index, so scheduling cannot influence any output.
 
 /// FNV-1a 64-bit hash: grid fingerprints and file-name disambiguation.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -73,33 +16,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_come_back_in_unit_order() {
-        for workers in [1, 3, 8] {
-            let out = run_sharded(workers, 17, |i| i * i);
-            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn empty_grid_spawns_nothing() {
-        let out: Vec<usize> = run_sharded(4, 0, |_| unreachable!("no units to run"));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn worker_count_clamps_to_unit_count() {
-        // More workers than units must not deadlock or drop results.
-        let out = run_sharded(64, 2, |i| i + 1);
-        assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn zero_jobs_resolves_to_at_least_one() {
-        assert!(resolve_jobs(0) >= 1);
-        assert_eq!(resolve_jobs(5), 5);
-    }
 
     #[test]
     fn fnv1a_is_stable() {

@@ -75,5 +75,5 @@ pub use campaign::{Campaign, CampaignConfig, CampaignResult, CellSpec};
 pub use errors::{ErrorTransition, TransitionReport};
 pub use job::{AttackJob, ImageSpec, JobStatus};
 pub use problem::ButterflyProblem;
-pub use queue::{BoundedQueue, FairQueue, PushError};
+pub use queue::{FairQueue, PushError};
 pub use transfer::{TargetPath, TransferCellSpec, TransferConfig, TransferGrid, TransferMatrix};

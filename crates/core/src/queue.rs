@@ -1,26 +1,22 @@
-//! Bounded multi-producer multi-consumer job queues with explicit
-//! backpressure — the admission-control primitives behind `bea-serve`.
+//! A bounded multi-producer multi-consumer job queue with explicit
+//! backpressure — the admission-control primitive behind `bea-serve`.
 //!
-//! [`BoundedQueue`] is the single-lane original: a `Mutex<VecDeque>`
-//! plus one `Condvar`. [`BoundedQueue::try_push`] never blocks — a full
-//! queue is reported to the producer (HTTP `429` upstream) instead of
-//! buffering without bound, and a closed queue refuses new work during
-//! shutdown. [`BoundedQueue::pop`] blocks consumers until an item
-//! arrives or the queue closes; after [`BoundedQueue::close`],
-//! consumers stop immediately and the undrained items are recovered
-//! with [`BoundedQueue::drain_remaining`] so the caller can persist
-//! them.
-//!
-//! [`FairQueue`] is the multi-tenant variant: one FIFO lane per tenant
-//! under a single global capacity, popped round-robin across lanes so a
-//! tenant flooding the queue cannot starve the others, plus
-//! [`FairQueue::pop_group`] which assembles a compatible batch for the
+//! [`FairQueue`] keeps one FIFO lane per tenant under a single global
+//! capacity, popped round-robin across lanes so a tenant flooding the
+//! queue cannot starve the others. [`FairQueue::try_push`] never blocks —
+//! a full queue is reported to the producer (HTTP `429` upstream) instead
+//! of buffering without bound, and a closed queue refuses new work during
+//! shutdown. [`FairQueue::pop`] blocks consumers until an item arrives or
+//! the queue closes; after [`FairQueue::close`], consumers stop
+//! immediately and the undrained items are recovered with
+//! [`FairQueue::drain_remaining`] so the caller can persist them.
+//! [`FairQueue::pop_group`] assembles a compatible batch for the
 //! cross-job batching path.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Why [`BoundedQueue::try_push`] refused an item; the item rides along
+/// Why [`FairQueue::try_push`] refused an item; the item rides along
 /// so the producer keeps ownership.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
@@ -36,109 +32,6 @@ impl<T> PushError<T> {
         match self {
             PushError::Full(item) | PushError::Closed(item) => item,
         }
-    }
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// The bounded MPMC queue. See the [module docs](self).
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    available: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
-            available: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
-    }
-
-    /// `true` when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `true` once [`BoundedQueue::close`] ran.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
-
-    /// Enqueues without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`BoundedQueue::close`]; both return the item.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue lock");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty and
-    /// open. Returns `None` once the queue closes — immediately, even if
-    /// items remain: close means "start no new work", and the leftovers
-    /// are recovered with [`BoundedQueue::drain_remaining`].
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if state.closed {
-                return None;
-            }
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            state = self.available.wait(state).expect("queue lock");
-        }
-    }
-
-    /// Closes the queue: producers get [`PushError::Closed`], blocked and
-    /// future [`BoundedQueue::pop`] calls return `None`. Idempotent.
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.available.notify_all();
-    }
-
-    /// Removes and returns every item still queued (ordinarily called
-    /// after [`BoundedQueue::close`], to persist work that never started).
-    pub fn drain_remaining(&self) -> Vec<T> {
-        self.state.lock().expect("queue lock").items.drain(..).collect()
-    }
-}
-
-impl<T> std::fmt::Debug for BoundedQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BoundedQueue")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .field("closed", &self.is_closed())
-            .finish()
     }
 }
 
@@ -335,117 +228,7 @@ impl<T> std::fmt::Debug for FairQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn queue_is_fifo_and_bounded() {
-        let queue = BoundedQueue::new(2);
-        assert_eq!(queue.capacity(), 2);
-        queue.try_push(1).unwrap();
-        queue.try_push(2).unwrap();
-        assert_eq!(queue.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(queue.len(), 2);
-        assert_eq!(queue.pop(), Some(1));
-        queue.try_push(3).unwrap();
-        assert_eq!(queue.pop(), Some(2));
-        assert_eq!(queue.pop(), Some(3));
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        let queue = BoundedQueue::new(0);
-        assert_eq!(queue.capacity(), 1);
-        queue.try_push(7).unwrap();
-        assert!(matches!(queue.try_push(8), Err(PushError::Full(8))));
-    }
-
-    #[test]
-    fn close_refuses_producers_and_releases_consumers() {
-        let queue: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.pop())
-        };
-        // Give the consumer a moment to block on the empty queue.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        queue.try_push(1).unwrap();
-        queue.try_push(2).unwrap();
-        queue.close();
-        assert_eq!(queue.try_push(3), Err(PushError::Closed(3)));
-        assert_eq!(PushError::Closed(3).into_inner(), 3);
-        // The blocked consumer saw either the pushed item or the close.
-        let seen = waiter.join().unwrap();
-        assert!(seen == Some(1) || seen.is_none(), "got {seen:?}");
-        // Close wins over remaining items; they drain explicitly.
-        assert_eq!(queue.pop(), None);
-        let mut rest = queue.drain_remaining();
-        if seen == Some(1) {
-            assert_eq!(rest, vec![2]);
-        } else {
-            rest.sort_unstable();
-            assert_eq!(rest, vec![1, 2]);
-        }
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn concurrent_producers_and_consumers_account_for_every_item() {
-        const PRODUCERS: usize = 4;
-        const PER_PRODUCER: usize = 200;
-        let queue: Arc<BoundedQueue<usize>> = Arc::new(BoundedQueue::new(8));
-        let consumed = Arc::new(AtomicUsize::new(0));
-        let sum = Arc::new(AtomicUsize::new(0));
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                let consumed = Arc::clone(&consumed);
-                let sum = Arc::clone(&sum);
-                std::thread::spawn(move || {
-                    while let Some(item) = queue.pop() {
-                        consumed.fetch_add(1, Ordering::Relaxed);
-                        sum.fetch_add(item, Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        let producers: Vec<_> = (0..PRODUCERS)
-            .map(|p| {
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    for k in 0..PER_PRODUCER {
-                        let mut item = p * PER_PRODUCER + k;
-                        // Spin on Full: the bound is backpressure, not loss.
-                        loop {
-                            match queue.try_push(item) {
-                                Ok(()) => break,
-                                Err(PushError::Full(back)) => {
-                                    item = back;
-                                    std::thread::yield_now();
-                                }
-                                Err(PushError::Closed(_)) => panic!("closed mid-run"),
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for producer in producers {
-            producer.join().unwrap();
-        }
-        // All items pushed; let consumers finish the backlog, then close.
-        while !queue.is_empty() {
-            std::thread::yield_now();
-        }
-        queue.close();
-        for consumer in consumers {
-            consumer.join().unwrap();
-        }
-        let total = PRODUCERS * PER_PRODUCER;
-        assert_eq!(consumed.load(Ordering::Relaxed), total);
-        assert_eq!(sum.load(Ordering::Relaxed), (0..total).sum::<usize>());
-    }
 
     #[test]
     fn fair_queue_round_robins_across_tenants() {
@@ -480,6 +263,7 @@ mod tests {
         queue.close();
         assert!(queue.is_closed());
         assert_eq!(queue.try_push("a", 4), Err(PushError::Closed(4)));
+        assert_eq!(PushError::Closed(4).into_inner(), 4);
         // Close wins over remaining items; they drain explicitly.
         assert_eq!(queue.pop(), None);
         assert_eq!(queue.drain_remaining(), vec![1, 2]);

@@ -19,7 +19,7 @@
 //!
 //! The matrix runs as a grid in the [`crate::campaign`] mold: cells are
 //! enumerated in spec order, sharded across `--jobs` workers through
-//! [`crate::grid::run_sharded`], committed into spec-order slots, and
+//! [`bea_tensor::threads::fan_out`], committed into spec-order slots, and
 //! persisted in a resumable per-cell store — so byte-identical output at
 //! any `--jobs`/`--threads` is inherited rather than re-proven. Three
 //! invariants are test-enforced:
@@ -40,7 +40,7 @@ use crate::campaign::{
     CampaignStore, CellSpec,
 };
 use crate::errors::TransitionReport;
-use crate::grid::{fnv1a, resolve_jobs, run_sharded};
+use crate::grid::fnv1a;
 use crate::objectives::degradation::obj_degrad;
 use crate::objectives::intensity::obj_intensity_normalized;
 use crate::report::{csv_field, parse_csv};
@@ -49,6 +49,7 @@ use bea_detect::{Detector, Prediction};
 use bea_image::{FilterMask, Image};
 use bea_scene::{BBox, ObjectClass};
 use bea_tensor::norm::NormKind;
+use bea_tensor::threads;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -1064,7 +1065,7 @@ impl TransferGrid {
             })
             .collect::<io::Result<_>>()?;
 
-        let jobs = resolve_jobs(self.config.jobs);
+        let jobs = threads::resolve(self.config.jobs);
         let mut slots: Vec<Option<TransferCellResult>> = Vec::new();
         slots.resize_with(specs.len(), || None);
         // Pending cells grouped by (target, source group, source image):
@@ -1094,7 +1095,7 @@ impl TransferGrid {
         }
         let groups: Vec<Vec<usize>> = groups.into_values().collect();
 
-        let computed: Vec<Vec<TransferRow>> = run_sharded(jobs, groups.len(), |g| {
+        let computed: Vec<Vec<TransferRow>> = threads::fan_out(jobs, groups.len(), |g| {
             let members = &groups[g];
             let first = &specs[members[0]];
             let detector = detector_for(&first.target());

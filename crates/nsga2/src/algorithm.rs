@@ -8,47 +8,30 @@ use crate::operators::{Crossover, Initializer, Mutation};
 use crate::pareto;
 use crate::selection::binary_tournament;
 use crate::sorting::fast_non_dominated_sort;
-use bea_tensor::WeightInit;
+use bea_tensor::{threads, WeightInit};
 use std::time::Instant;
 
-/// Evaluates a batch of genomes, fanning out over `crossbeam` scoped
-/// threads when more than one worker is requested (the order of results
-/// always matches the input order, so runs stay deterministic).
-///
-/// `threads == 0` uses every available core; outer schedulers that already
-/// saturate the host (e.g. a campaign sharding cells across workers) pass
-/// `1` to keep each run single-threaded.
+/// Evaluates a batch of genomes: split into one contiguous chunk per
+/// effective worker of [`bea_tensor::threads::fan_out`], one
+/// [`Problem::evaluate_population`] call per chunk. Results come back in
+/// input order, so runs stay deterministic at any thread count.
 fn evaluate_batch<P: Problem>(
     problem: &P,
     genomes: Vec<P::Genome>,
-    threads: usize,
+    eval_threads: usize,
 ) -> Vec<Individual<P::Genome>> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    };
-    if threads <= 1 || genomes.len() < 2 {
-        let objectives = problem.evaluate_population(&genomes);
-        assert_eq!(objectives.len(), genomes.len(), "one objective vector per genome");
-        return genomes.into_iter().zip(objectives).map(|(g, o)| Individual::new(g, o)).collect();
-    }
-    let chunk = genomes.len().div_ceil(threads);
-    let mut out: Vec<Option<Individual<P::Genome>>> = Vec::new();
-    out.resize_with(genomes.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        for (slot_chunk, genome_chunk) in out.chunks_mut(chunk).zip(genomes.chunks(chunk)) {
-            scope.spawn(move |_| {
-                let objectives = problem.evaluate_population(genome_chunk);
-                assert_eq!(objectives.len(), genome_chunk.len(), "one objective vector per genome");
-                for ((slot, genome), o) in slot_chunk.iter_mut().zip(genome_chunk).zip(objectives) {
-                    *slot = Some(Individual::new(genome.clone(), o));
-                }
-            });
-        }
-    })
-    .expect("evaluation workers must not panic");
-    out.into_iter().map(|i| i.expect("every slot filled")).collect()
+    let chunk = genomes.len().div_ceil(threads::width(eval_threads)).max(1);
+    let chunks: Vec<&[P::Genome]> = genomes.chunks(chunk).collect();
+    let objectives = threads::fan_out(chunks.len(), chunks.len(), |c| {
+        let objectives = problem.evaluate_population(chunks[c]);
+        assert_eq!(objectives.len(), chunks[c].len(), "one objective vector per genome");
+        objectives
+    });
+    genomes
+        .into_iter()
+        .zip(objectives.into_iter().flatten())
+        .map(|(g, o)| Individual::new(g, o))
+        .collect()
 }
 
 /// An optimisation problem: a genome type plus an objective evaluation.
@@ -114,8 +97,9 @@ pub struct Nsga2Config {
     pub seed: u64,
     /// Worker threads for objective evaluation: `0` (the default) uses
     /// every available core, `1` keeps evaluation on the calling thread.
-    /// Outer schedulers that already shard work across threads set `1` to
-    /// avoid oversubscription. The thread count never changes results.
+    /// Inside an outer fan-out (a campaign's cells, a server gate group)
+    /// evaluation runs on the outer worker instead; see the nesting rule
+    /// in [`bea_tensor::threads`]. The thread count never changes results.
     pub eval_threads: usize,
 }
 

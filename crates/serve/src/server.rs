@@ -21,7 +21,7 @@ use crate::http::{chunked_head, encode_chunk, final_chunk, Request, Response};
 use crate::metrics::Metrics;
 use crate::progress::ProgressFeed;
 use crate::tenant::{TenantGovernor, TenantPolicy};
-use bea_core::batch::{BatchGate, GateDetector};
+use bea_core::batch::BatchGate;
 use bea_core::campaign::{Campaign, CampaignConfig, CampaignStore};
 use bea_core::telemetry::{self, JsonObject};
 use bea_core::transfer::read_matrix_csv;
@@ -58,7 +58,9 @@ pub struct ServerConfig {
     /// server overrides every job's `AttackConfig::threads` with this
     /// value so the submitted JSON cannot change the host's thread
     /// policy. Defaults to 1: the worker pool already runs jobs in
-    /// parallel, and results are identical at any thread count.
+    /// parallel, and results are identical at any thread count. Members
+    /// of a gate group run their kernels inline whatever this says; see
+    /// the nesting rule in [`bea_tensor::threads`].
     pub kernel_threads: usize,
     /// Serve connections through the epoll reactor (one multiplexing
     /// thread) instead of a thread per connection. Job execution is
@@ -912,12 +914,15 @@ fn worker_loop(shared: &Arc<Shared>) {
         let released = group.len();
         if group.len() == 1 {
             let queued = &group[0];
-            let feed = shared.feed_of(queued.id);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(shared, &queued.job, &feed)
-            }))
-            .unwrap_or_else(|panic| Err(panic_message(panic)));
-            finish_job(shared, queued, outcome);
+            run_member(shared, queued, || {
+                let zoo = shared.zoo.clone().with_kernel_policy(queued.job.kernel_policy);
+                let (arch, seed) = (queued.job.arch, queued.job.model_seed);
+                if queued.job.use_cache {
+                    zoo.cached_model(arch, seed)
+                } else {
+                    zoo.model(arch, seed)
+                }
+            });
         } else {
             run_group(shared, &group);
         }
@@ -960,39 +965,42 @@ fn finish_job(shared: &Shared, queued: &QueuedJob, outcome: Result<Option<CacheS
     shared.governor.release(&queued.job.tenant);
 }
 
-/// Runs a multi-job gate group: one shared detector, one member thread
+/// Runs a multi-job gate group: one shared detector, one fan-out worker
 /// per job, per-generation forward passes merged by the [`BatchGate`].
 ///
-/// Every member runs its own single-cell campaign with `threads = 1`
-/// (the group is the parallelism; the gate requires one post per member
-/// per round), so each job's CSV is byte-identical to a solo run — the
-/// union pass is a pure speed knob by the `detect_batch` contract.
+/// The fan-out spawns a thread per member, so every member is a marked
+/// worker (see the nesting rule in [`bea_tensor::threads`]): its GA
+/// evaluation and kernels run inline, which gives exactly the one gate
+/// post per member per round that the gate requires. Each job's CSV is
+/// byte-identical to a solo run — the union pass is a pure speed knob by
+/// the `detect_batch` contract.
 fn run_group(shared: &Arc<Shared>, group: &[QueuedJob]) {
     let lead = &group[0].job;
     let zoo = shared.zoo.clone().with_kernel_policy(lead.kernel_policy);
     let gate = BatchGate::new(zoo.model(lead.arch, lead.model_seed), group.len());
-    std::thread::scope(|scope| {
-        for (member, queued) in group.iter().enumerate() {
-            let detector = gate.member(member);
-            let gate_ref = &gate;
-            let feed = shared.feed_of(queued.id);
-            scope.spawn(move || {
-                // `detector` moves into the catch_unwind closure; if
-                // the attack panics, unwinding drops it, the member
-                // departs the gate and the rest of the group carries
-                // on.
-                let _ = gate_ref;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_job_gated(shared, &queued.job, detector, &feed)
-                }))
-                .unwrap_or_else(|panic| Err(panic_message(panic)));
-                finish_job(shared, queued, outcome);
-            });
-        }
+    bea_tensor::threads::fan_out(group.len(), group.len(), |member| {
+        run_member(shared, &group[member], || Box::new(gate.member(member)));
     });
 }
 
-/// Runs one job as a single-cell campaign and persists its rows.
+/// Runs one job on the detector `detector` builds, with panics
+/// contained: a panicking attack fails its own job (and, for a gate
+/// member, drops its handle so the member departs and the rest of the
+/// group carries on).
+fn run_member<D>(shared: &Shared, queued: &QueuedJob, detector: D)
+where
+    D: FnOnce() -> Box<dyn Detector>,
+{
+    let feed = shared.feed_of(queued.id);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_job(shared, &queued.job, detector(), &feed)
+    }))
+    .unwrap_or_else(|panic| Err(panic_message(panic)));
+    finish_job(shared, queued, outcome);
+}
+
+/// Runs one job as a single-cell campaign on `detector` and persists its
+/// rows.
 ///
 /// The campaign runs in memory (`jobs: 1`, telemetry off) and the cell
 /// is saved through the same [`CampaignStore::save_cell`] writer a
@@ -1005,6 +1013,7 @@ fn run_group(shared: &Arc<Shared>, group: &[QueuedJob]) {
 fn run_job(
     shared: &Shared,
     job: &AttackJob,
+    detector: Box<dyn Detector>,
     feed: &ProgressFeed,
 ) -> Result<Option<CacheStats>, String> {
     let image = job.materialize_image(&shared.dataset)?;
@@ -1020,63 +1029,16 @@ fn run_job(
         jobs: 1,
         telemetry: false,
     });
-    let arch = job.arch;
-    let use_cache = job.use_cache;
-    let zoo = shared.zoo.clone().with_kernel_policy(job.kernel_policy);
-    let result = campaign.run_observed(
-        std::slice::from_ref(&spec),
-        |cell| {
-            if use_cache {
-                zoo.cached_model(arch, cell.model_seed)
-            } else {
-                zoo.model(arch, cell.model_seed)
-            }
-        },
-        |_cell| image.clone(),
-        &|_cell, line| feed.push(line.to_string()),
-    );
-    let cell = &result.cells[0];
-    shared
-        .store
-        .save_cell(&spec, &cell.rows)
-        .map_err(|e| format!("persisting cell failed: {e}"))?;
-    Ok(cell.outcome.as_ref().and_then(|o| o.cache_stats()))
-}
-
-/// Runs one job of a gate group through its [`GateDetector`] handle.
-///
-/// Identical to [`run_job`] except the detector is the gate member and
-/// the attack is pinned to one thread: the gate needs exactly one
-/// `detect_batch` post per member per generation, and the group itself
-/// is the parallelism.
-fn run_job_gated(
-    shared: &Shared,
-    job: &AttackJob,
-    detector: GateDetector,
-    feed: &ProgressFeed,
-) -> Result<Option<CacheStats>, String> {
-    let image = job.materialize_image(&shared.dataset)?;
-    let spec = job.cell_spec();
-    let mut attack = job.attack_config();
-    attack.threads = 1;
-    let campaign = Campaign::new(CampaignConfig {
-        attack,
-        base_seed: job.base_seed,
-        jobs: 1,
-        telemetry: false,
-    });
     // `detector_for` is `Fn` but this campaign visits exactly one cell,
-    // so the member handle is moved out of a slot on first (only) call.
-    let slot: Mutex<Option<GateDetector>> = Mutex::new(Some(detector));
+    // so the detector is moved out of a slot on first (only) call.
+    let slot = Mutex::new(Some(detector));
     let result = campaign.run_observed(
         std::slice::from_ref(&spec),
         |_cell| {
-            let member = slot
-                .lock()
-                .expect("gate member slot lock")
+            slot.lock()
+                .expect("detector slot lock")
                 .take()
-                .expect("single-cell campaign requested a second detector");
-            Box::new(member) as Box<dyn Detector>
+                .expect("single-cell campaign requested a second detector")
         },
         |_cell| image.clone(),
         &|_cell, line| feed.push(line.to_string()),

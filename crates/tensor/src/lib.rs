@@ -42,7 +42,6 @@
 pub mod activation;
 pub mod attention;
 pub mod autodiff;
-pub mod batch;
 pub mod conv;
 pub mod dirty;
 pub mod error;
@@ -62,7 +61,6 @@ pub mod tensor3;
 pub mod threads;
 
 pub use attention::MultiHeadAttention;
-pub use batch::MatrixBatch;
 pub use conv::Conv2d;
 pub use dirty::DirtyRect;
 pub use error::{Result, TensorError};
