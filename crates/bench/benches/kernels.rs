@@ -23,9 +23,7 @@
 //! Every case first asserts that the two variants produce `==`-identical
 //! outputs **at the configured thread count**, so the numbers always
 //! compare equivalent kernels and a threaded run doubles as the
-//! threaded-equals-reference equality gate. The `*_batchN` cases compare
-//! a per-item loop against one population-batched call over the same
-//! inputs (their "reference" column is the loop). Each case also records
+//! threaded-equals-reference equality gate. Each case also records
 //! `allocs_per_forward` — heap allocations during one warmed
 //! blocked-kernel forward, counted by a `#[global_allocator]` wrapper —
 //! which is 0 for every kernel shape at 1 thread now that weights are
@@ -202,73 +200,6 @@ fn matmul_cases(reps: usize) -> Vec<Case> {
     ]
 }
 
-/// How many population members the batched cases stack.
-const BATCH: usize = 4;
-
-/// Population-batched cases: a per-item loop ("reference" column) versus
-/// one batched call over the same inputs, both on the blocked kernels.
-/// The batched outputs must be `==`-identical to the looped ones — the
-/// row-banded GEMMs compute each output row independently, so stacking
-/// items only changes how much work one call carries.
-fn batched_cases(reps: usize) -> Vec<Case> {
-    // DETR encoder feed-forward over a whole population: the stacked
-    // (BATCH·384)×24 GEMM against BATCH separate 384×24 GEMMs.
-    let items: Vec<Matrix> = (0..BATCH).map(|i| seeded_matrix(384, 24, 20 + i as u64)).collect();
-    let item_refs: Vec<&Matrix> = items.iter().collect();
-    let dense = seeded_matrix(24, 24, 4);
-    let stacked = Matrix::vstack(&item_refs).unwrap();
-    let looped: Vec<Matrix> =
-        items.iter().map(|m| m.matmul_policy(&dense, KernelPolicy::Blocked).unwrap()).collect();
-    let product = stacked.matmul_policy(&dense, KernelPolicy::Blocked).unwrap();
-    for (i, item) in looped.iter().enumerate() {
-        assert_eq!(
-            &product.row_block(i * 384, 384),
-            item,
-            "matmul_ffn_batch{BATCH}: batched rows must match per-item rows"
-        );
-    }
-    let reference_ms = time_ms(reps, || {
-        items
-            .iter()
-            .map(|m| black_box(m).matmul_policy(black_box(&dense), KernelPolicy::Blocked).unwrap())
-            .collect::<Vec<_>>()
-    });
-    let blocked_ms = time_ms(reps, || {
-        black_box(&stacked).matmul_policy(black_box(&dense), KernelPolicy::Blocked).unwrap()
-    });
-    let allocs_per_forward = allocs_in(|| {
-        black_box(&stacked).matmul_policy(black_box(&dense), KernelPolicy::Blocked).unwrap()
-    });
-    let ffn = Case { name: "matmul_ffn_batch4", reference_ms, blocked_ms, allocs_per_forward };
-
-    // The CI-gate convolution over a whole population: one im2col_batch
-    // + single wide GEMM against BATCH separate forwards.
-    let (_, oc, ic, k, stride, padding, in_h, in_w) = CONV_SHAPES[1];
-    let mut init = WeightInit::from_seed(7);
-    let mut conv = Conv2d::seeded(oc, ic, k, k, stride, padding, &mut init)
-        .expect("bench conv shape must be valid");
-    conv.set_kernel_policy(KernelPolicy::Blocked);
-    let inputs: Vec<FeatureMap> =
-        (0..BATCH).map(|i| seeded_map(ic, in_h, in_w, 30 + i as u64)).collect();
-    let input_refs: Vec<&FeatureMap> = inputs.iter().collect();
-    let batched = conv.forward_batch(&input_refs).unwrap();
-    for (input, out) in inputs.iter().zip(&batched) {
-        assert_eq!(
-            &conv.forward(input).unwrap(),
-            out,
-            "conv_medium_batch{BATCH}: batched outputs must match per-item outputs"
-        );
-    }
-    let reference_ms = time_ms(reps, || {
-        inputs.iter().map(|input| conv.forward(black_box(input)).unwrap()).collect::<Vec<_>>()
-    });
-    let blocked_ms = time_ms(reps, || conv.forward_batch(black_box(&input_refs)).unwrap());
-    let allocs_per_forward = allocs_in(|| conv.forward_batch(black_box(&input_refs)).unwrap());
-    let conv_case =
-        Case { name: "conv_medium_batch4", reference_ms, blocked_ms, allocs_per_forward };
-    vec![ffn, conv_case]
-}
-
 struct Options {
     quick: bool,
     check: bool,
@@ -333,7 +264,6 @@ fn main() -> ExitCode {
 
     let mut cases: Vec<Case> = CONV_SHAPES.iter().map(|&s| conv_case(s, reps)).collect();
     cases.extend(matmul_cases(reps));
-    cases.extend(batched_cases(reps));
 
     println!(
         "{:<20} {:>14} {:>12} {:>9} {:>20}",

@@ -39,7 +39,6 @@ struct Options {
     drain_secs: u64,
     threads: usize,
     reactor: bool,
-    batch: usize,
     tenant_rate: f64,
     tenant_burst: f64,
     tenant_quota: usize,
@@ -60,7 +59,6 @@ fn parse_args() -> Result<Options, String> {
         drain_secs: 60,
         threads: 1,
         reactor: false,
-        batch: 1,
         tenant_rate: 0.0,
         tenant_burst: 1.0,
         tenant_quota: 0,
@@ -81,7 +79,6 @@ fn parse_args() -> Result<Options, String> {
             "--drain-secs" => options.drain_secs = args.parse(&flag)?,
             "--threads" => options.threads = args.parse(&flag)?,
             "--reactor" => options.reactor = true,
-            "--batch" => options.batch = args.parse(&flag)?,
             "--tenant-rate" => options.tenant_rate = args.parse(&flag)?,
             "--tenant-burst" => options.tenant_burst = args.parse(&flag)?,
             "--tenant-quota" => options.tenant_quota = args.parse(&flag)?,
@@ -93,7 +90,7 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err("usage: serve_cli [--addr HOST:PORT] [--workers N] [--queue N] \
                             [--out DIR] [--smoke] [--drain-secs N] [--threads N] [--reactor] \
-                            [--batch N] [--tenant-rate R] [--tenant-burst B] [--tenant-quota N] \
+                            [--tenant-rate R] [--tenant-burst B] [--tenant-quota N] \
                             [--shards N] [--idle-secs N] [--conn-requests N]\n\
                             --smoke serves the 4-image smoke dataset (fast jobs for CI)\n\
                             --threads sets kernel worker threads per job (default 1: the worker\n\
@@ -101,8 +98,6 @@ fn parse_args() -> Result<Options, String> {
                             identical at any thread count\n\
                             --reactor multiplexes all connections on one epoll thread instead of\n\
                             a thread per connection (Linux; elsewhere it falls back)\n\
-                            --batch stacks up to N compatible queued jobs into shared forward\n\
-                            passes (default 1 = off); served CSVs are identical either way\n\
                             --tenant-rate/--tenant-burst set the per-tenant token bucket\n\
                             (submissions/s and burst size; rate 0 = unlimited) and\n\
                             --tenant-quota caps each tenant's queued+running jobs (0 = unlimited)\n\
@@ -121,9 +116,6 @@ fn parse_args() -> Result<Options, String> {
             }
             other => return Err(args::unknown_flag(other)),
         }
-    }
-    if options.batch == 0 {
-        return Err("--batch must be at least 1".into());
     }
     if options.shards == 0 {
         return Err("--shards must be at least 1".into());
@@ -164,7 +156,6 @@ fn run_single(options: &Options) -> ExitCode {
         request_log: true,
         kernel_threads: options.threads,
         reactor: options.reactor,
-        batch_max: options.batch,
         tenant_policy: TenantPolicy {
             rate: options.tenant_rate,
             burst: options.tenant_burst,
@@ -184,10 +175,9 @@ fn run_single(options: &Options) -> ExitCode {
         }
     };
     println!(
-        "bea-serve listening on http://{} ({} front-end, batch {} per group)",
+        "bea-serve listening on http://{} ({} front-end)",
         server.addr(),
         if options.reactor { "reactor" } else { "thread-per-connection" },
-        options.batch,
     );
     println!("store: {}", options.out.display());
     println!("endpoints: POST /v1/attacks, GET /v1/attacks/{{id}}[/csv|/progress], GET /healthz, GET /metrics, POST /v1/shutdown");
@@ -231,8 +221,6 @@ fn spawn_shard(options: &Options, shard: usize) -> io::Result<Shard> {
         .arg(options.drain_secs.to_string())
         .arg("--threads")
         .arg(options.threads.to_string())
-        .arg("--batch")
-        .arg(options.batch.to_string())
         .arg("--tenant-rate")
         .arg(options.tenant_rate.to_string())
         .arg("--tenant-burst")

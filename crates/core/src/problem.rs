@@ -359,10 +359,9 @@ impl Problem for ButterflyProblem<'_> {
 
     /// The per-generation hot path: one batched detector call per
     /// `(placement, frame, detector)` cell instead of one scalar call per
-    /// genome, so detectors with a batchable global stage (DETR behind a
-    /// [`bea_detect::CachedDetector`]) push the whole population through a
-    /// single stacked transformer pass and stream their weights once per
-    /// generation.
+    /// genome, so a [`bea_detect::CachedDetector`] hashes the clean frame
+    /// once per population instead of once per mask. Every mask still
+    /// takes its own forward pass.
     ///
     /// Each mask's objective accumulators receive exactly the same
     /// contributions in exactly the same order as [`Problem::evaluate`]

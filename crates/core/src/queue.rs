@@ -10,8 +10,6 @@
 //! the queue closes; after [`FairQueue::close`], consumers stop
 //! immediately and the undrained items are recovered with
 //! [`FairQueue::drain_remaining`] so the caller can persist them.
-//! [`FairQueue::pop_group`] assembles a compatible batch for the
-//! cross-job batching path.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -138,53 +136,16 @@ impl<T> FairQueue<T> {
     /// (close means "start no new work"; leftovers are recovered with
     /// [`FairQueue::drain_remaining`]).
     pub fn pop(&self) -> Option<T> {
-        self.pop_group(1, |_, _| false).map(|mut group| group.remove(0))
-    }
-
-    /// Dequeues a batch of up to `max` mutually compatible items,
-    /// blocking like [`FairQueue::pop`]. The first item comes from the
-    /// round-robin lane (fairness decides who *leads* a batch); the rest
-    /// are lane-front items accepted by `compatible(&seed, &candidate)`,
-    /// collected round-robin so one tenant cannot fill the whole batch
-    /// while others wait. Only lane fronts are taken — batching never
-    /// reorders a tenant's own submissions.
-    pub fn pop_group<F>(&self, max: usize, compatible: F) -> Option<Vec<T>>
-    where
-        F: Fn(&T, &T) -> bool,
-    {
-        let max = max.max(1);
         let mut state = self.state.lock().expect("queue lock");
         loop {
             if state.closed {
                 return None;
             }
-            if let Some(lead) = state.next_busy_lane() {
-                let seed = state.lanes[lead].1.pop_front().expect("busy lane has a front");
+            if let Some(lane) = state.next_busy_lane() {
+                let item = state.lanes[lane].1.pop_front().expect("busy lane has a front");
                 state.len -= 1;
-                state.cursor = (lead + 1) % state.lanes.len();
-                let mut group = vec![seed];
-                // Cycle lanes starting at the new cursor; stop after a
-                // full lap adds nothing (every remaining front is
-                // incompatible or the lanes are dry).
-                let lanes = state.lanes.len();
-                let mut idle_laps = 0;
-                let mut at = state.cursor;
-                while group.len() < max && idle_laps < lanes {
-                    let front_ok = state.lanes[at]
-                        .1
-                        .front()
-                        .is_some_and(|candidate| compatible(&group[0], candidate));
-                    if front_ok {
-                        let item = state.lanes[at].1.pop_front().expect("front just checked");
-                        state.len -= 1;
-                        group.push(item);
-                        idle_laps = 0;
-                    } else {
-                        idle_laps += 1;
-                    }
-                    at = (at + 1) % lanes;
-                }
-                return Some(group);
+                state.cursor = (lane + 1) % state.lanes.len();
+                return Some(item);
             }
             state = self.available.wait(state).expect("queue lock");
         }
@@ -269,39 +230,6 @@ mod tests {
         assert_eq!(queue.drain_remaining(), vec![1, 2]);
         assert!(queue.is_empty());
         assert_eq!(FairQueue::<u32>::new(0).capacity(), 1);
-    }
-
-    #[test]
-    fn fair_queue_groups_take_compatible_lane_fronts() {
-        // Items are (tenant-ish id, compat class); compatibility is
-        // class equality.
-        let queue = FairQueue::new(16);
-        queue.try_push("a", ("a0", 1)).unwrap();
-        queue.try_push("a", ("a1", 1)).unwrap();
-        queue.try_push("a", ("a2", 2)).unwrap();
-        queue.try_push("b", ("b0", 1)).unwrap();
-        queue.try_push("b", ("b1", 1)).unwrap();
-        queue.try_push("c", ("c0", 2)).unwrap();
-
-        let same_class = |seed: &(&str, i32), other: &(&str, i32)| seed.1 == other.1;
-        // Seed a0 (class 1): collects round-robin from b then a again,
-        // but never digs past c's incompatible front.
-        let group = queue.pop_group(8, same_class).unwrap();
-        let ids: Vec<&str> = group.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, vec!["a0", "b0", "a1", "b1"]);
-        // Remaining fronts are class 2 and batch together.
-        let group = queue.pop_group(8, same_class).unwrap();
-        let ids: Vec<&str> = group.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, vec!["c0", "a2"]);
-        assert!(queue.is_empty());
-
-        // max caps the group even with compatible items waiting.
-        queue.try_push("a", ("x0", 9)).unwrap();
-        queue.try_push("a", ("x1", 9)).unwrap();
-        queue.try_push("a", ("x2", 9)).unwrap();
-        let group = queue.pop_group(2, same_class).unwrap();
-        assert_eq!(group.len(), 2);
-        assert_eq!(queue.len(), 1);
     }
 
     #[test]

@@ -156,25 +156,6 @@ pub trait IncrementalDetect: Detector {
         perturbed: &Image,
         dirty: &DirtyRect,
     ) -> IncrementalPrediction;
-
-    /// Runs a whole population of incremental evaluations against one
-    /// cached clean pass, returning one result per job (in order).
-    ///
-    /// Each result must be bit-identical to
-    /// [`IncrementalDetect::detect_incremental`] on that job alone. The
-    /// default loops; detectors whose global stage re-runs in full per job
-    /// (DETR's transformer) override this to batch that stage across the
-    /// population — the weights then stream through the cache once per
-    /// *generation* instead of once per genome.
-    fn detect_incremental_batch(
-        &self,
-        clean: &Self::Clean,
-        jobs: &[(&Image, &DirtyRect)],
-    ) -> Vec<IncrementalPrediction> {
-        jobs.iter()
-            .map(|(perturbed, dirty)| self.detect_incremental(clean, perturbed, dirty))
-            .collect()
-    }
 }
 
 /// The full-resolution bounding rectangle of a mask's non-zero pixels.
@@ -374,6 +355,45 @@ impl<D: IncrementalDetect> CachedDetector<D> {
         entries.slots.insert(key, LruSlot { entry: Arc::clone(&entry), last_used: tick });
         entry
     }
+
+    /// Whether `mask` matches `clean`'s dimensions; a mismatch takes the
+    /// uncached path so it surfaces exactly like the default one.
+    fn fits(&self, clean: &Image, mask: &FilterMask) -> bool {
+        mask.width() == clean.width() && mask.height() == clean.height()
+    }
+
+    /// A plain full forward on the perturbed image, counted as a fallback.
+    fn fallback(&self, clean: &Image, mask: &FilterMask) -> Prediction {
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.inner.detect(&mask.apply(clean))
+    }
+
+    /// Evaluates one in-bounds mask against `clean`'s memoized pass.
+    fn masked_from(
+        &self,
+        entry: &(D::Clean, Prediction),
+        clean: &Image,
+        mask: &FilterMask,
+    ) -> Prediction {
+        let dirty = mask_dirty_rect(mask);
+        if dirty.is_empty() {
+            // The identity mask: the clean prediction, no forward at all.
+            return entry.1.clone();
+        }
+        if dirty.area() == clean.width() * clean.height() {
+            // A full-frame mask dirties every backbone cell; patching
+            // would recompute the whole plane anyway.
+            return self.fallback(clean, mask);
+        }
+        let perturbed = mask.apply(clean);
+        let out = self.inner.detect_incremental(&entry.0, &perturbed, &dirty);
+        self.incremental.fetch_add(1, Ordering::Relaxed);
+        self.pixels_recomputed.fetch_add(out.cells_recomputed, Ordering::Relaxed);
+        if out.global_stage_full {
+            self.global_stage_full.fetch_add(1, Ordering::Relaxed);
+        }
+        out.prediction
+    }
 }
 
 impl<D: IncrementalDetect> Detector for CachedDetector<D> {
@@ -383,9 +403,7 @@ impl<D: IncrementalDetect> Detector for CachedDetector<D> {
         self.inner.detect(img)
     }
 
-    /// Batched plain detection delegates for the same reason — and so the
-    /// inner detector's batched forward pass stays reachable through the
-    /// wrapper.
+    /// Batched plain detection delegates for the same reason.
     fn detect_batch_into(&self, imgs: &[&Image], out: &mut Vec<Prediction>) {
         self.inner.detect_batch_into(imgs, out);
     }
@@ -403,38 +421,16 @@ impl<D: IncrementalDetect> Detector for CachedDetector<D> {
     }
 
     fn detect_masked(&self, clean: &Image, mask: &FilterMask) -> Prediction {
-        if mask.width() != clean.width() || mask.height() != clean.height() {
-            // Surface the dimension error exactly like the default path.
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            return self.inner.detect(&mask.apply(clean));
+        if !self.fits(clean, mask) {
+            return self.fallback(clean, mask);
         }
-        let dirty = mask_dirty_rect(mask);
         let entry = self.entry(clean);
-        if dirty.is_empty() {
-            // The identity mask: the clean prediction, no forward at all.
-            return entry.1.clone();
-        }
-        if dirty.area() == clean.width() * clean.height() {
-            // A full-frame mask dirties every backbone cell; patching
-            // would recompute the whole plane anyway.
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            return self.inner.detect(&mask.apply(clean));
-        }
-        let perturbed = mask.apply(clean);
-        let out = self.inner.detect_incremental(&entry.0, &perturbed, &dirty);
-        self.incremental.fetch_add(1, Ordering::Relaxed);
-        self.pixels_recomputed.fetch_add(out.cells_recomputed, Ordering::Relaxed);
-        if out.global_stage_full {
-            self.global_stage_full.fetch_add(1, Ordering::Relaxed);
-        }
-        out.prediction
+        self.masked_from(&entry, clean, mask)
     }
 
-    /// One clean-pass lookup serves the whole population; the incremental
-    /// masks are grouped into a single
-    /// [`IncrementalDetect::detect_incremental_batch`] call so the inner
-    /// detector can batch its global stage. Per-mask results and counters
-    /// match the scalar [`Detector::detect_masked`] path.
+    /// One clean-pass lookup serves the whole population; every later
+    /// in-bounds mask still counts one hit, so results and counters match
+    /// the scalar [`Detector::detect_masked`] path.
     fn detect_masked_batch_into(
         &self,
         clean: &Image,
@@ -444,52 +440,16 @@ impl<D: IncrementalDetect> Detector for CachedDetector<D> {
         out.clear();
         out.reserve(masks.len());
         let mut entry: Option<CacheEntry<D>> = None;
-        // Classify each mask; incremental jobs are deferred so they can
-        // share one batched global stage. `pending` remembers where each
-        // deferred result belongs in `out`.
-        let mut pending: Vec<(usize, Image, DirtyRect)> = Vec::new();
-        for (slot, mask) in masks.iter().enumerate() {
-            if mask.width() != clean.width() || mask.height() != clean.height() {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                out.push(self.inner.detect(&mask.apply(clean)));
+        for mask in masks {
+            if !self.fits(clean, mask) {
+                out.push(self.fallback(clean, mask));
                 continue;
             }
-            let dirty = mask_dirty_rect(mask);
-            if entry.is_none() {
-                entry = Some(self.entry(clean));
-            } else {
-                // Same image, already held: no re-hash, but still one
-                // lookup per mask so the counters match the scalar path.
+            if entry.is_some() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
-            let held = entry.as_ref().expect("entry just ensured");
-            if dirty.is_empty() {
-                out.push(held.1.clone());
-                continue;
-            }
-            if dirty.area() == clean.width() * clean.height() {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                out.push(self.inner.detect(&mask.apply(clean)));
-                continue;
-            }
-            out.push(Prediction::new());
-            pending.push((slot, mask.apply(clean), dirty));
-        }
-        if pending.is_empty() {
-            return;
-        }
-        let held = entry.as_ref().expect("pending jobs imply a cached entry");
-        let jobs: Vec<(&Image, &DirtyRect)> =
-            pending.iter().map(|(_, perturbed, dirty)| (perturbed, dirty)).collect();
-        let results = self.inner.detect_incremental_batch(&held.0, &jobs);
-        debug_assert_eq!(results.len(), pending.len());
-        for ((slot, _, _), result) in pending.iter().zip(results) {
-            self.incremental.fetch_add(1, Ordering::Relaxed);
-            self.pixels_recomputed.fetch_add(result.cells_recomputed, Ordering::Relaxed);
-            if result.global_stage_full {
-                self.global_stage_full.fetch_add(1, Ordering::Relaxed);
-            }
-            out[*slot] = result.prediction;
+            let held = entry.get_or_insert_with(|| self.entry(clean));
+            out.push(self.masked_from(held, clean, mask));
         }
     }
 }
@@ -497,6 +457,7 @@ impl<D: IncrementalDetect> Detector for CachedDetector<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detr::{DetrConfig, DetrDetector};
     use crate::yolo::{YoloConfig, YoloDetector};
     use bea_scene::SyntheticKitti;
 
@@ -575,8 +536,7 @@ mod tests {
         assert_eq!(cached.stats().incremental, 0);
     }
 
-    #[test]
-    fn batched_masked_path_matches_scalar_path_and_counters() {
+    fn assert_batched_matches_scalar<D: IncrementalDetect>(make: impl Fn() -> D) {
         let img = SyntheticKitti::evaluation_set().image(0);
         let mut full = FilterMask::zeros(img.width(), img.height());
         for y in 0..img.height() {
@@ -590,11 +550,11 @@ mod tests {
         let local = sample_mask(img.width(), img.height());
         let masks: Vec<&FilterMask> = vec![&local, &zero, &full, &other];
 
-        let scalar = CachedDetector::new(YoloDetector::new(YoloConfig::with_seed(2)));
+        let scalar = CachedDetector::new(make());
         let expected: Vec<Prediction> =
             masks.iter().map(|m| scalar.detect_masked(&img, m)).collect();
 
-        let batched = CachedDetector::new(YoloDetector::new(YoloConfig::with_seed(2)));
+        let batched = CachedDetector::new(make());
         let mut out = Vec::new();
         batched.detect_masked_batch_into(&img, &masks, &mut out);
         assert_eq!(out, expected, "batched masked path must be bit-identical");
@@ -606,9 +566,16 @@ mod tests {
         let b = batched.stats();
         assert_eq!((b.misses, b.fallbacks), (s.misses, s.fallbacks * 2));
         assert_eq!(b.incremental, s.incremental * 2);
+        assert_eq!(b.global_stage_full, s.global_stage_full * 2);
         assert_eq!(b.pixels_recomputed, s.pixels_recomputed * 2);
         // One lookup per in-bounds mask, exactly like the scalar path.
         assert_eq!(b.lookups(), s.lookups() * 2);
+    }
+
+    #[test]
+    fn batched_masked_path_matches_scalar_path_and_counters() {
+        assert_batched_matches_scalar(|| YoloDetector::new(YoloConfig::with_seed(2)));
+        assert_batched_matches_scalar(|| DetrDetector::new(DetrConfig::with_seed(2)).unwrap());
     }
 
     #[test]

@@ -65,10 +65,8 @@ pub trait Detector: Send + Sync {
     ///
     /// The out-parameter style lets steady-state callers reuse the vector's
     /// capacity across generations. `out` is cleared first; each entry must
-    /// equal `self.detect(imgs[i])` — batching is a pure speed knob, never
-    /// an approximation. The default simply loops; detectors with a
-    /// batchable global stage (DETR's transformer) override this to push
-    /// the whole population through one stacked forward pass.
+    /// equal `self.detect(imgs[i])`. The default loops one forward pass per
+    /// image; every detector in this crate runs image by image.
     fn detect_batch_into(&self, imgs: &[&Image], out: &mut Vec<Prediction>) {
         out.clear();
         out.extend(imgs.iter().map(|img| self.detect(img)));
@@ -89,8 +87,8 @@ pub trait Detector: Send + Sync {
     ///
     /// `out` is cleared first; each entry must equal
     /// `self.detect_masked(clean, masks[i])`. Cache-aware wrappers
-    /// ([`crate::cache::CachedDetector`]) override this to group the
-    /// incremental evaluations into one batched global stage.
+    /// ([`crate::cache::CachedDetector`]) override this to look the clean
+    /// pass up once per population.
     fn detect_masked_batch_into(
         &self,
         clean: &Image,

@@ -227,15 +227,13 @@ impl DetrDetector {
         self.token_scores_from(&ResponseField::compute(img, &self.bank))
     }
 
-    /// Fills rows `[base, base + gw·gh)` of `content` with the per-class
-    /// max response inside each patch (shared by the single and batched
-    /// token pipelines so their pooled values are bitwise identical).
+    /// Fills the `gw·gh` rows of `content` with the per-class max
+    /// response inside each patch.
     fn fill_patch_content(
         &self,
         field: &ResponseField,
         gw: usize,
         gh: usize,
-        base: usize,
         content: &mut Matrix,
     ) {
         let patch = self.config.patch;
@@ -254,23 +252,23 @@ impl DetrDetector {
                             }
                         }
                     }
-                    content.set(base + gy * gw + gx, class.index(), best.max(-1.0));
+                    content.set(gy * gw + gx, class.index(), best.max(-1.0));
                 }
             }
         }
     }
 
     /// Divides the read-out scores by the calibrated per-class norms and
-    /// subtracts each class's median over rows `[base, base + tokens)` —
-    /// the per-image statistics of the analytic head, applied to one row
-    /// block of a (possibly stacked) score matrix.
-    fn calibrate_scores(&self, scores: &mut Matrix, base: usize, tokens: usize) {
+    /// subtracts each class's median over the tokens — the per-image
+    /// statistics of the analytic head.
+    fn calibrate_scores(&self, scores: &mut Matrix) {
         let classes = ObjectClass::COUNT;
+        let tokens = scores.rows();
         for c in 0..classes {
             let norm = self.config.content_gain * self.head_norms[c];
             for t in 0..tokens {
-                let v = scores.at(base + t, c) / norm;
-                scores.set(base + t, c, v);
+                let v = scores.at(t, c) / norm;
+                scores.set(t, c, v);
             }
         }
         // Background suppression: subtract the per-class median (the
@@ -279,14 +277,14 @@ impl DetrDetector {
             // Pooled column buffer + allocation-free stable sort (std's
             // sort_by allocates a merge buffer above ~20 elements).
             let mut column: ScratchGuard<f32> = ScratchGuard::with_pooled_capacity(tokens);
-            column.extend((0..tokens).map(|t| scores.at(base + t, c)));
+            column.extend((0..tokens).map(|t| scores.at(t, c)));
             insertion_sort_by(&mut column, |a, b| {
                 a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
             });
             let median = column[column.len() / 2];
             for t in 0..tokens {
-                let v = scores.at(base + t, c) - median;
-                scores.set(base + t, c, v);
+                let v = scores.at(t, c) - median;
+                scores.set(t, c, v);
             }
         }
     }
@@ -297,7 +295,7 @@ impl DetrDetector {
         let classes = ObjectClass::COUNT;
         // Patch content: per-class max response inside each patch.
         let mut content = Matrix::zeros(gw * gh, classes);
-        self.fill_patch_content(field, gw, gh, 0, &mut content);
+        self.fill_patch_content(field, gw, gh, &mut content);
         // Embed and run the encoder; the positional encoding steers the
         // attention (queries/keys) without entering the residual stream.
         let mut tokens = self
@@ -313,54 +311,8 @@ impl DetrDetector {
         let mut scores = tokens
             .matmul_policy(self.embed.weight(), self.config.kernel_policy)
             .expect("token width equals embed output width");
-        self.calibrate_scores(&mut scores, 0, gw * gh);
+        self.calibrate_scores(&mut scores);
         scores
-    }
-
-    /// [`DetrDetector::token_scores_from`] over a whole population of
-    /// response fields: the token matrices are row-stacked and pushed
-    /// through the embedding, every encoder block and the read-out in one
-    /// batched pass each, so the weights stream through the cache once per
-    /// *batch* instead of once per field. Attention and the per-image
-    /// median statistics are applied per row block, keeping every returned
-    /// matrix bit-identical to the per-field pipeline.
-    ///
-    /// Fields whose token grids disagree (mixed image sizes) fall back to
-    /// the per-field path.
-    fn token_scores_batch(&self, fields: &[&ResponseField]) -> Vec<Matrix> {
-        let Some(first) = fields.first() else {
-            return Vec::new();
-        };
-        let (gw, gh) = self.grid_dims(first);
-        if fields.len() == 1 || fields.iter().any(|f| self.grid_dims(f) != (gw, gh)) {
-            return fields.iter().map(|f| self.token_scores_from(f)).collect();
-        }
-        let token_count = gw * gh;
-        let items = fields.len();
-        let mut content = Matrix::zeros(items * token_count, ObjectClass::COUNT);
-        for (item, field) in fields.iter().enumerate() {
-            self.fill_patch_content(field, gw, gh, item * token_count, &mut content);
-        }
-        let mut tokens = self
-            .embed
-            .forward(&content)
-            .expect("content width equals embed input width")
-            .scale(self.config.content_gain);
-        let pos = grid_positional_encoding(gw, gh, self.config.model_dim);
-        let pos_refs: Vec<&Matrix> = (0..items).map(|_| &pos).collect();
-        let pos_tiled = Matrix::vstack(&pos_refs).expect("tiling repeats one shape");
-        for block in &self.encoder {
-            tokens = block
-                .forward_batched(&tokens, Some(&pos_tiled), token_count)
-                .expect("encoder preserves token shape");
-        }
-        let mut scores = tokens
-            .matmul_policy(self.embed.weight(), self.config.kernel_policy)
-            .expect("token width equals embed output width");
-        for item in 0..items {
-            self.calibrate_scores(&mut scores, item * token_count, token_count);
-        }
-        (0..items).map(|item| scores.row_block(item * token_count, token_count)).collect()
     }
 
     /// Decodes detections from token scores with anchored object queries.
@@ -570,41 +522,6 @@ impl IncrementalDetect for DetrDetector {
             global_stage_full: true,
         }
     }
-
-    /// The batched hot path: the CNN stem is still patched per job (each
-    /// mask dirties a different window), but the transformer — which
-    /// re-runs in full per job and dominates the incremental cost — runs
-    /// once over the whole population via
-    /// [`DetrDetector::token_scores_batch`].
-    fn detect_incremental_batch(
-        &self,
-        clean: &ResponseField,
-        jobs: &[(&Image, &DirtyRect)],
-    ) -> Vec<IncrementalPrediction> {
-        let mut fields = Vec::with_capacity(jobs.len());
-        let mut cells = Vec::with_capacity(jobs.len());
-        for (perturbed, dirty) in jobs {
-            let mut field = clean.clone();
-            let window = field.recompute_window(perturbed, &self.bank, dirty);
-            cells.push(window.area() as u64);
-            fields.push(field);
-        }
-        let refs: Vec<&ResponseField> = fields.iter().collect();
-        let scores = self.token_scores_batch(&refs);
-        fields
-            .iter()
-            .zip(scores)
-            .zip(cells)
-            .map(|((field, scores), cells_recomputed)| {
-                let (gw, gh) = self.grid_dims(field);
-                IncrementalPrediction {
-                    prediction: self.decode(field, &scores, gw, gh),
-                    cells_recomputed,
-                    global_stage_full: true,
-                }
-            })
-            .collect()
-    }
 }
 
 impl Detector for DetrDetector {
@@ -613,20 +530,6 @@ impl Detector for DetrDetector {
         let scores = self.token_scores_from(&field);
         let (gw, gh) = self.grid_dims(&field);
         self.decode(&field, &scores, gw, gh)
-    }
-
-    /// Batched detection: one stacked transformer pass for the whole
-    /// population (see [`DetrDetector::token_scores_batch`]).
-    fn detect_batch_into(&self, imgs: &[&Image], out: &mut Vec<Prediction>) {
-        out.clear();
-        let fields: Vec<ResponseField> =
-            imgs.iter().map(|img| ResponseField::compute(img, &self.bank)).collect();
-        let refs: Vec<&ResponseField> = fields.iter().collect();
-        let scores = self.token_scores_batch(&refs);
-        for (field, scores) in fields.iter().zip(&scores) {
-            let (gw, gh) = self.grid_dims(field);
-            out.push(self.decode(field, scores, gw, gh));
-        }
     }
 
     fn name(&self) -> &str {
@@ -842,38 +745,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_token_scores_match_per_field_scores_bitwise() {
-        let detr = detector();
-        let data = SyntheticKitti::evaluation_set();
-        let imgs = [data.image(0), data.image(1), data.image(2)];
-        let fields: Vec<ResponseField> =
-            imgs.iter().map(|img| ResponseField::compute(img, &detr.bank)).collect();
-        let refs: Vec<&ResponseField> = fields.iter().collect();
-        let batched = detr.token_scores_batch(&refs);
-        assert_eq!(batched.len(), fields.len());
-        for (i, field) in fields.iter().enumerate() {
-            assert_eq!(batched[i], detr.token_scores_from(field), "field {i}");
-        }
-    }
-
-    #[test]
-    fn batched_detect_matches_per_image_detect() {
-        let detr = detector();
-        let data = SyntheticKitti::evaluation_set();
-        let imgs = [data.image(0), data.image(1)];
-        let refs: Vec<&Image> = imgs.iter().collect();
-        let batched = detr.detect_batch(&refs);
-        for (img, pred) in refs.iter().zip(&batched) {
-            assert_eq!(pred, &detr.detect(img));
-        }
-    }
-
-    #[test]
-    fn batched_incremental_matches_scalar_incremental() {
+    fn incremental_matches_full_pass() {
         let detr = detector();
         let img = SyntheticKitti::evaluation_set().image(0);
         let (clean, _) = detr.clean_forward(&img);
-        let mut masks = Vec::new();
         for (i, x0) in [10usize, 60, 110].iter().enumerate() {
             let mut mask = bea_image::FilterMask::zeros(img.width(), img.height());
             for y in 8..(14 + i) {
@@ -881,19 +756,11 @@ mod tests {
                     mask.set(0, y, x, 60);
                 }
             }
-            masks.push(mask);
-        }
-        let perturbed: Vec<Image> = masks.iter().map(|m| m.apply(&img)).collect();
-        let rects: Vec<DirtyRect> = masks.iter().map(crate::cache::mask_dirty_rect).collect();
-        let jobs: Vec<(&Image, &DirtyRect)> = perturbed.iter().zip(rects.iter()).collect();
-        let batched = detr.detect_incremental_batch(&clean, &jobs);
-        for (i, (perturbed, dirty)) in jobs.iter().enumerate() {
-            let scalar = detr.detect_incremental(&clean, perturbed, dirty);
-            assert_eq!(batched[i].prediction, scalar.prediction, "job {i}");
-            assert_eq!(batched[i].cells_recomputed, scalar.cells_recomputed);
-            assert!(batched[i].global_stage_full);
-            // Both must equal the uncached full pass.
-            assert_eq!(batched[i].prediction, detr.detect(perturbed), "job {i} vs full pass");
+            let perturbed = mask.apply(&img);
+            let dirty = crate::cache::mask_dirty_rect(&mask);
+            let incremental = detr.detect_incremental(&clean, &perturbed, &dirty);
+            assert!(incremental.global_stage_full);
+            assert_eq!(incremental.prediction, detr.detect(&perturbed), "mask {i}");
         }
     }
 

@@ -172,10 +172,9 @@ impl Detector for Ensemble {
         self.fuse(&self.member_predictions_masked(clean, mask))
     }
 
-    /// One batched pass per member (members with a batchable global stage
-    /// — DETR's transformer — stack the whole batch through it), then
-    /// per-image fusion across members. `==`-identical to fusing scalar
-    /// passes, because each member's batching is bit-transparent.
+    /// One batch call per member, then per-image fusion across members.
+    /// `==`-identical to fusing scalar passes, because each member's batch
+    /// entry point equals its per-image detect.
     fn detect_batch_into(&self, imgs: &[&Image], out: &mut Vec<Prediction>) {
         out.clear();
         let per_member: Vec<Vec<Prediction>> =

@@ -127,38 +127,6 @@ impl EncoderBlock {
         x.add(&ffn.scale(self.mix))
     }
 
-    /// Applies the block to `tokens.rows() / item_rows` row-stacked token
-    /// matrices at once.
-    ///
-    /// `pos` (when given) must already be tiled to the stacked row count —
-    /// the caller repeats the grid encoding once per item. Every stage
-    /// except attention is row-independent, and the attention is applied
-    /// per item block, so each item's output rows equal
-    /// [`EncoderBlock::forward`] on that item alone, bit for bit. The win
-    /// is bandwidth: each weight matrix streams through the cache once per
-    /// *batch* instead of once per item.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the row count is not a multiple of
-    /// `item_rows` or the widths disagree with the model dimension.
-    pub fn forward_batched(
-        &self,
-        tokens: &Matrix,
-        pos: Option<&Matrix>,
-        item_rows: usize,
-    ) -> Result<Matrix> {
-        let qk = match pos {
-            Some(p) => tokens.add(p)?,
-            None => tokens.clone(),
-        };
-        let attended = self.attention.forward_batched(&qk, &qk, tokens, item_rows)?;
-        let x = tokens.add(&attended.scale(self.mix))?;
-        let hidden = self.ffn_in.forward(&x)?.map(gelu);
-        let ffn = self.ffn_out.forward(&hidden)?;
-        x.add(&ffn.scale(self.mix))
-    }
-
     /// The block's attention layer (for heatmap introspection).
     pub fn attention(&self) -> &MultiHeadAttention {
         &self.attention
@@ -228,40 +196,6 @@ mod tests {
         let tokens = Matrix::filled(5, 16, 0.3);
         let out = block.forward(&tokens, None).unwrap();
         assert!(out.approx_eq(&tokens, 1e-6));
-    }
-
-    #[test]
-    fn batched_forward_matches_per_item_forward_bitwise() {
-        let mut init = WeightInit::from_seed(9);
-        let block = EncoderBlock::seeded(16, 4, 0.5, &mut init).unwrap();
-        let item_rows = 6;
-        let items: Vec<Matrix> = (0..3)
-            .map(|i| {
-                let mut m = Matrix::zeros(item_rows, 16);
-                for r in 0..item_rows {
-                    for c in 0..16 {
-                        m.set(r, c, ((r * 16 + c) as f32 * 0.07 + i as f32).sin());
-                    }
-                }
-                m
-            })
-            .collect();
-        let pos = grid_positional_encoding(3, 2, 16);
-        let refs: Vec<&Matrix> = items.iter().collect();
-        let stacked = Matrix::vstack(&refs).unwrap();
-        let tiled_refs: Vec<&Matrix> = (0..items.len()).map(|_| &pos).collect();
-        let pos_tiled = Matrix::vstack(&tiled_refs).unwrap();
-        let batched = block.forward_batched(&stacked, Some(&pos_tiled), item_rows).unwrap();
-        for (i, item) in items.iter().enumerate() {
-            let single = block.forward(item, Some(&pos)).unwrap();
-            assert_eq!(batched.row_block(i * item_rows, item_rows), single, "item {i}");
-        }
-        // Without positional encoding as well.
-        let batched = block.forward_batched(&stacked, None, item_rows).unwrap();
-        for (i, item) in items.iter().enumerate() {
-            let single = block.forward(item, None).unwrap();
-            assert_eq!(batched.row_block(i * item_rows, item_rows), single, "item {i}");
-        }
     }
 
     #[test]

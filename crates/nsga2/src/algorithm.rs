@@ -54,11 +54,10 @@ pub trait Problem: Sync {
     ///
     /// The run driver hands every evaluation through this hook (each
     /// worker thread receives one contiguous chunk), so problems whose
-    /// objective shares work across a population — the butterfly attack
-    /// pushes all masks of a generation through one batched detector
-    /// forward pass — can override it. Results must be *identical* to
-    /// mapping [`Problem::evaluate`]; batching is a speed knob, never an
-    /// approximation, and determinism tests hold overrides to that.
+    /// objective shares setup across a population — the butterfly attack
+    /// looks up its cached clean pass once per chunk instead of once per
+    /// mask — can override it. Results must be *identical* to mapping
+    /// [`Problem::evaluate`], and determinism tests hold overrides to that.
     fn evaluate_population(&self, genomes: &[Self::Genome]) -> Vec<Vec<f64>> {
         genomes.iter().map(|g| self.evaluate(g)).collect()
     }
@@ -97,8 +96,7 @@ pub struct Nsga2Config {
     pub seed: u64,
     /// Worker threads for objective evaluation: `0` (the default) uses
     /// every available core, `1` keeps evaluation on the calling thread.
-    /// Inside an outer fan-out (a campaign's cells, a server gate group)
-    /// evaluation runs on the outer worker instead; see the nesting rule
+    /// Inside an outer fan-out (a campaign's cells) evaluation runs on the outer worker instead; see the nesting rule
     /// in [`bea_tensor::threads`]. The thread count never changes results.
     pub eval_threads: usize,
 }

@@ -9,9 +9,8 @@
 //! per-tenant token-bucket admission and in-system quotas ([`tenant`]),
 //! a tenant-fair bounded job queue with explicit backpressure
 //! (`bea-core`'s `FairQueue`), a worker pool that drains jobs through
-//! the same deterministic campaign path batch runs use — stacking
-//! compatible jobs into shared forward passes via `bea-core`'s
-//! `BatchGate` ([`server`]) — Prometheus-text metrics ([`metrics`]) and
+//! the same deterministic campaign path batch runs use, one job per
+//! worker ([`server`]), Prometheus-text metrics ([`metrics`]) and
 //! a minimal blocking client for load generation and tests
 //! ([`client`]).
 //!

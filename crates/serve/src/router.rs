@@ -347,12 +347,12 @@ fn open_tunnel(
     let Some(addr) = shards.addr(shard) else { return Err(shard_down(shard)) };
     let mut upstream = TcpStream::connect(&addr).map_err(|_| shard_down(shard))?;
     let _ = upstream.set_write_timeout(Some(Duration::from_secs(30)));
-    write!(
-        upstream,
+    // One buffer, one write, so the request is not split into segments.
+    let head = format!(
         "{} {} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n",
         request.method, request.path
-    )
-    .map_err(|_| shard_down(shard))?;
+    );
+    upstream.write_all(head.as_bytes()).map_err(|_| shard_down(shard))?;
     upstream.flush().map_err(|_| shard_down(shard))?;
     Ok(upstream)
 }

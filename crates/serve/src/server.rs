@@ -21,7 +21,6 @@ use crate::http::{chunked_head, encode_chunk, final_chunk, Request, Response};
 use crate::metrics::Metrics;
 use crate::progress::ProgressFeed;
 use crate::tenant::{TenantGovernor, TenantPolicy};
-use bea_core::batch::BatchGate;
 use bea_core::campaign::{Campaign, CampaignConfig, CampaignStore};
 use bea_core::telemetry::{self, JsonObject};
 use bea_core::transfer::read_matrix_csv;
@@ -58,20 +57,13 @@ pub struct ServerConfig {
     /// server overrides every job's `AttackConfig::threads` with this
     /// value so the submitted JSON cannot change the host's thread
     /// policy. Defaults to 1: the worker pool already runs jobs in
-    /// parallel, and results are identical at any thread count. Members
-    /// of a gate group run their kernels inline whatever this says; see
-    /// the nesting rule in [`bea_tensor::threads`].
+    /// parallel, and results are identical at any thread count.
     pub kernel_threads: usize,
     /// Serve connections through the epoll reactor (one multiplexing
     /// thread) instead of a thread per connection. Job execution is
     /// identical either way; off epoll-less platforms the server falls
     /// back to the blocking front-end.
     pub reactor: bool,
-    /// Upper bound on cross-job batching: up to this many compatible
-    /// queued jobs (same architecture, model seed and kernel policy,
-    /// cache off) run as one gate group whose per-generation forward
-    /// passes stack into a single batched call. `1` disables batching.
-    pub batch_max: usize,
     /// Per-tenant admission policy (rate limit and in-system quota).
     pub tenant_policy: TenantPolicy,
     /// How many `done` records the startup compaction of `jobs.jsonl`
@@ -106,7 +98,6 @@ impl ServerConfig {
             request_log: true,
             kernel_threads: 1,
             reactor: false,
-            batch_max: 1,
             tenant_policy: TenantPolicy::default(),
             done_retention: 64,
             idle_timeout: Duration::from_secs(30),
@@ -166,7 +157,6 @@ pub(crate) struct Shared {
     request_log_path: Option<PathBuf>,
     request_log: Mutex<()>,
     kernel_threads: usize,
-    batch_max: usize,
     pub(crate) idle_timeout: Duration,
     pub(crate) conn_requests_max: usize,
     id_stride: u64,
@@ -283,7 +273,6 @@ impl Server {
             job_log: Mutex::new(()),
             request_log: Mutex::new(()),
             kernel_threads: config.kernel_threads,
-            batch_max: config.batch_max.max(1),
             idle_timeout: config.idle_timeout,
             conn_requests_max: config.conn_requests_max.max(1),
             id_stride: config.id_stride.max(1),
@@ -890,45 +879,26 @@ fn job_csv(id_text: &str, shared: &Shared) -> Response {
     }
 }
 
-/// Two queued jobs may share one gate group when they hit the same
-/// model with the same kernels and neither evaluates through the
-/// inference cache. The cached path runs `detect_masked_batch` against
-/// a single clean frame, which cannot stack across jobs; the uncached
-/// path materialises arbitrary perturbed images, which can.
-fn batchable(a: &QueuedJob, b: &QueuedJob) -> bool {
-    !a.job.use_cache
-        && !b.job.use_cache
-        && a.job.arch == b.job.arch
-        && a.job.model_seed == b.job.model_seed
-        && a.job.kernel_policy == b.job.kernel_policy
-}
-
-/// One worker: pop a compatible group, run it (batched when the group
-/// has company), persist, account.
+/// One worker: pop a job, run it with panics contained (a panicking
+/// attack fails its own job), persist, account.
 fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(group) = shared.queue.pop_group(shared.batch_max, batchable) {
-        for queued in &group {
-            shared.set_status(queued.id, JobStatus::Running);
-        }
-        *shared.in_flight.lock().expect("in-flight lock") += group.len();
-        let released = group.len();
-        if group.len() == 1 {
-            let queued = &group[0];
-            run_member(shared, queued, || {
-                let zoo = shared.zoo.clone().with_kernel_policy(queued.job.kernel_policy);
-                let (arch, seed) = (queued.job.arch, queued.job.model_seed);
-                if queued.job.use_cache {
-                    zoo.cached_model(arch, seed)
-                } else {
-                    zoo.model(arch, seed)
-                }
-            });
-        } else {
-            run_group(shared, &group);
-        }
-        let mut in_flight = shared.in_flight.lock().expect("in-flight lock");
-        *in_flight -= released;
-        drop(in_flight);
+    while let Some(queued) = shared.queue.pop() {
+        shared.set_status(queued.id, JobStatus::Running);
+        *shared.in_flight.lock().expect("in-flight lock") += 1;
+        let feed = shared.feed_of(queued.id);
+        let job = &queued.job;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let zoo = shared.zoo.clone().with_kernel_policy(job.kernel_policy);
+            let detector = if job.use_cache {
+                zoo.cached_model(job.arch, job.model_seed)
+            } else {
+                zoo.model(job.arch, job.model_seed)
+            };
+            run_job(shared, job, detector, &feed)
+        }))
+        .unwrap_or_else(|panic| Err(panic_message(panic)));
+        finish_job(shared, &queued, outcome);
+        *shared.in_flight.lock().expect("in-flight lock") -= 1;
         shared.idle.notify_all();
     }
 }
@@ -963,40 +933,6 @@ fn finish_job(shared: &Shared, queued: &QueuedJob, outcome: Result<Option<CacheS
     feed.finish(Some(progress_end_line(&status)));
     shared.set_status(queued.id, status);
     shared.governor.release(&queued.job.tenant);
-}
-
-/// Runs a multi-job gate group: one shared detector, one fan-out worker
-/// per job, per-generation forward passes merged by the [`BatchGate`].
-///
-/// The fan-out spawns a thread per member, so every member is a marked
-/// worker (see the nesting rule in [`bea_tensor::threads`]): its GA
-/// evaluation and kernels run inline, which gives exactly the one gate
-/// post per member per round that the gate requires. Each job's CSV is
-/// byte-identical to a solo run — the union pass is a pure speed knob by
-/// the `detect_batch` contract.
-fn run_group(shared: &Arc<Shared>, group: &[QueuedJob]) {
-    let lead = &group[0].job;
-    let zoo = shared.zoo.clone().with_kernel_policy(lead.kernel_policy);
-    let gate = BatchGate::new(zoo.model(lead.arch, lead.model_seed), group.len());
-    bea_tensor::threads::fan_out(group.len(), group.len(), |member| {
-        run_member(shared, &group[member], || Box::new(gate.member(member)));
-    });
-}
-
-/// Runs one job on the detector `detector` builds, with panics
-/// contained: a panicking attack fails its own job (and, for a gate
-/// member, drops its handle so the member departs and the rest of the
-/// group carries on).
-fn run_member<D>(shared: &Shared, queued: &QueuedJob, detector: D)
-where
-    D: FnOnce() -> Box<dyn Detector>,
-{
-    let feed = shared.feed_of(queued.id);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job(shared, &queued.job, detector(), &feed)
-    }))
-    .unwrap_or_else(|panic| Err(panic_message(panic)));
-    finish_job(shared, queued, outcome);
 }
 
 /// Runs one job as a single-cell campaign on `detector` and persists its

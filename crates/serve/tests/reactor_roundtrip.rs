@@ -1,11 +1,10 @@
-//! Integration tests for the event-driven front-end, cross-job
-//! batching, tenant admission control and job-log compaction.
+//! Integration tests for the event-driven front-end, concurrent
+//! workers, tenant admission control and job-log compaction.
 //!
 //! The determinism anchor from `server_roundtrip` carries over
 //! unchanged: whatever the transport (reactor vs. thread-per-connection)
-//! and whatever the execution shape (solo vs. gate group), the CSV a job
-//! serves must be byte-identical to a direct `Campaign` run of the same
-//! cell.
+//! and however many workers run jobs side by side, the CSV a job serves
+//! must be byte-identical to a direct `Campaign` run of the same cell.
 
 use bea_core::campaign::{Campaign, CampaignConfig, CampaignStore};
 use bea_core::AttackJob;
@@ -21,15 +20,14 @@ fn scratch(tag: &str) -> PathBuf {
     root
 }
 
-/// A reactor-mode configuration with cross-job batching enabled.
-fn reactor_config(store_dir: PathBuf, workers: usize, batch_max: usize) -> ServerConfig {
+/// A reactor-mode configuration over the smoke dataset.
+fn reactor_config(store_dir: PathBuf, workers: usize) -> ServerConfig {
     ServerConfig {
         workers,
         queue_capacity: 32,
         dataset: SyntheticKitti::smoke_set(),
         drain_deadline: Duration::from_secs(120),
         reactor: true,
-        batch_max,
         ..ServerConfig::new(store_dir)
     }
 }
@@ -43,16 +41,15 @@ const POLL: Duration = Duration::from_millis(50);
 const DEADLINE: Duration = Duration::from_secs(120);
 
 #[test]
-fn reactor_batched_jobs_serve_byte_identical_csv() {
-    let store_dir = scratch("batched");
-    // One worker and a generous batch bound: the first job occupies the
-    // worker while the rest queue up, so the next pop takes a multi-job
-    // gate group through the stacked forward pass.
-    let server = Server::start(reactor_config(store_dir.clone(), 1, 8)).expect("server starts");
+fn reactor_two_workers_serve_byte_identical_csv() {
+    let store_dir = scratch("two_workers");
+    // Two workers over four queued jobs: two run side by side while the
+    // rest wait, so both workers take jobs from the queue.
+    let server = Server::start(reactor_config(store_dir.clone(), 2)).expect("server starts");
     let client = Client::new(server.addr().to_string());
 
-    // Four compatible jobs: same model, same kernels, distinct images —
-    // each is its own campaign cell.
+    // Four jobs on one model with distinct images — each is its own
+    // campaign cell.
     let body = |image: usize| {
         format!(
             "{{\"arch\":\"yolo\",\"model_seed\":1,\"image_index\":{image},\
@@ -77,7 +74,7 @@ fn reactor_batched_jobs_serve_byte_identical_csv() {
     // Byte-identity against a direct campaign over the same four cells
     // (the jobs share attack config and base seed, so one grid covers
     // them all).
-    let direct_dir = scratch("batched_direct");
+    let direct_dir = scratch("two_workers_direct");
     let direct_store = CampaignStore::open(&direct_dir).expect("store opens");
     let zoo = ModelZoo::with_defaults();
     let dataset = SyntheticKitti::smoke_set();
@@ -104,7 +101,7 @@ fn reactor_batched_jobs_serve_byte_identical_csv() {
         let direct_bytes = std::fs::read(direct_store.cell_path(spec)).expect("direct cell");
         assert_eq!(
             served.body, direct_bytes,
-            "cell for image {image} diverged between gated serving and a direct run"
+            "cell for image {image} diverged between serving and a direct run"
         );
     }
 
@@ -117,7 +114,7 @@ fn reactor_batched_jobs_serve_byte_identical_csv() {
 #[test]
 fn tenants_are_rate_limited_and_quota_bounded_independently() {
     let store_dir = scratch("tenants");
-    let mut config = reactor_config(store_dir.clone(), 1, 1);
+    let mut config = reactor_config(store_dir.clone(), 1);
     // One token, refilled at one token per 2s, and at most one job in
     // the system per tenant.
     config.tenant_policy = TenantPolicy { rate: 0.5, burst: 1.0, quota: 1 };
@@ -198,7 +195,7 @@ fn job_log_compacts_on_restart_without_changing_replay() {
 
     // Phase 1: run three jobs to completion; the append-only log holds
     // one record per accepted job.
-    let mut config = reactor_config(store_dir.clone(), 1, 1);
+    let mut config = reactor_config(store_dir.clone(), 1);
     config.done_retention = 64;
     let server = Server::start(config).expect("server starts");
     let client = Client::new(server.addr().to_string());
@@ -217,7 +214,7 @@ fn job_log_compacts_on_restart_without_changing_replay() {
 
     // Phase 2: restart with retention 1. Startup compaction drops all
     // but the newest done record; the retained job still reports done.
-    let mut config = reactor_config(store_dir.clone(), 1, 1);
+    let mut config = reactor_config(store_dir.clone(), 1);
     config.done_retention = 1;
     let server = Server::start(config).expect("server restarts");
     let client = Client::new(server.addr().to_string());
@@ -238,7 +235,7 @@ fn job_log_compacts_on_restart_without_changing_replay() {
     // Phase 3: restart again. Replay of non-done records is unchanged
     // by compaction: the late job finishes (now or already) and serves
     // its CSV.
-    let mut config = reactor_config(store_dir.clone(), 1, 1);
+    let mut config = reactor_config(store_dir.clone(), 1);
     config.done_retention = 1;
     let server = Server::start(config).expect("server restarts again");
     let client = Client::new(server.addr().to_string());

@@ -233,65 +233,6 @@ impl MultiHeadAttention {
         self.out_proj.forward(&concat)
     }
 
-    /// [`Self::forward`] over a row-stacked batch of `item_rows`-row token
-    /// matrices (see [`crate::batch`]).
-    ///
-    /// The four projections run **once** over the stacked matrix — their
-    /// GEMMs compute every output row independently, so this streams the
-    /// pre-packed weight panels once per batch while producing each row
-    /// bit-identically to the per-item call. Attention itself mixes rows,
-    /// so `softmax(q·kᵀ)·v` runs per item block with exactly the per-item
-    /// operands; the result equals [`Self::forward`] on each item alone,
-    /// `==`-element for element, regardless of what else shares the batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the operand row counts
-    /// are not equal multiples of `item_rows` (or `item_rows` is zero),
-    /// or on any width mismatch [`Self::forward`] would reject.
-    pub fn forward_batched(
-        &self,
-        queries: &Matrix,
-        keys: &Matrix,
-        values: &Matrix,
-        item_rows: usize,
-    ) -> Result<Matrix> {
-        if item_rows == 0
-            || !queries.rows().is_multiple_of(item_rows)
-            || keys.rows() != queries.rows()
-            || values.rows() != queries.rows()
-        {
-            return Err(TensorError::ShapeMismatch {
-                op: "attention batch rows",
-                lhs: vec![queries.rows(), keys.rows(), values.rows()],
-                rhs: vec![item_rows],
-            });
-        }
-        let q = self.q_proj.forward(queries)?;
-        let k = self.k_proj.forward(keys)?;
-        let v = self.v_proj.forward(values)?;
-        let items = q.rows() / item_rows;
-        let mut concat = Matrix::zeros(q.rows(), self.model_dim);
-        for item in 0..items {
-            let r0 = item * item_rows;
-            let qb = q.row_block(r0, item_rows);
-            let kb = k.row_block(r0, item_rows);
-            let vb = v.row_block(r0, item_rows);
-            for h in 0..self.heads {
-                let start = h * self.head_dim;
-                let qh = qb.columns(start, self.head_dim);
-                let kh = kb.columns(start, self.head_dim);
-                let vh = vb.columns(start, self.head_dim);
-                let head_out = scaled_dot_attention_policy(&qh, &kh, &vh, self.policy)?;
-                for r in 0..item_rows {
-                    concat.row_mut(r0 + r)[start..start + self.head_dim]
-                        .copy_from_slice(head_out.row(r));
-                }
-            }
-        }
-        self.out_proj.forward(&concat)
-    }
-
     /// Averaged per-head attention weights from `queries` to `keys`
     /// (for heatmap introspection).
     ///
@@ -409,45 +350,6 @@ mod tests {
             blocked.forward(&tokens, &tokens, &tokens).unwrap()
         );
         assert_eq!(reference, blocked, "policy must be excluded from equality");
-    }
-
-    #[test]
-    fn batched_forward_matches_per_item_forward_bitwise() {
-        for policy in KernelPolicy::ALL {
-            let mut init = WeightInit::from_seed(8);
-            let mut mha = MultiHeadAttention::seeded(12, 3, &mut init).unwrap();
-            mha.set_kernel_policy(policy);
-            let items: Vec<Matrix> = (0..3)
-                .map(|i| {
-                    let mut tokens = Matrix::zeros(7, 12);
-                    for (j, v) in tokens.as_mut_slice().iter_mut().enumerate() {
-                        *v = ((j as f32) * 0.19 + i as f32).sin();
-                    }
-                    tokens
-                })
-                .collect();
-            let refs: Vec<&Matrix> = items.iter().collect();
-            let stacked = Matrix::vstack(&refs).unwrap();
-            let batched = mha.forward_batched(&stacked, &stacked, &stacked, 7).unwrap();
-            for (i, item) in items.iter().enumerate() {
-                assert_eq!(
-                    batched.row_block(i * 7, 7),
-                    mha.forward(item, item, item).unwrap(),
-                    "{policy} item {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_forward_validates_item_rows() {
-        let mut init = WeightInit::from_seed(9);
-        let mha = MultiHeadAttention::seeded(8, 2, &mut init).unwrap();
-        let tokens = Matrix::zeros(6, 8);
-        assert!(mha.forward_batched(&tokens, &tokens, &tokens, 0).is_err());
-        assert!(mha.forward_batched(&tokens, &tokens, &tokens, 4).is_err());
-        assert!(mha.forward_batched(&tokens, &tokens, &Matrix::zeros(4, 8), 3).is_err());
-        assert!(mha.forward_batched(&tokens, &tokens, &tokens, 3).is_ok());
     }
 
     #[test]

@@ -432,57 +432,6 @@ pub fn im2col(input: &FeatureMap, geometry: ConvGeometry, window: &DirtyRect) ->
     cols
 }
 
-/// Batched [`im2col`]: lowers `inputs` (equally-shaped feature maps) into
-/// one wide k-major matrix whose columns are the per-item cell blocks
-/// concatenated — `wide[k][b·cells + c] == im2col(inputs[b])[k][c]`. A
-/// single GEMM over this matrix computes every item's convolution; each
-/// output element reads exactly the terms the per-item lowering feeds it,
-/// in the same ascending-k order, so batching cannot change results.
-///
-/// Shapes are debug-asserted equal — `Conv2d::forward_batch` validates.
-pub fn im2col_batch(inputs: &[&FeatureMap], geometry: ConvGeometry, window: &DirtyRect) -> Matrix {
-    let ConvGeometry { kernel_h, kernel_w, stride, padding } = geometry;
-    let Some(first) = inputs.first() else {
-        return Matrix::zeros(0, 0);
-    };
-    debug_assert!(inputs.iter().all(|i| i.shape() == first.shape()));
-    let (in_h, in_w) = (first.height(), first.width());
-    let cells_w = window.x1.saturating_sub(window.x0);
-    let cells = window.y1.saturating_sub(window.y0) * cells_w;
-    let k_total = first.channels() * kernel_h * kernel_w;
-    let mut cols = Matrix::zeros(k_total, cells * inputs.len());
-    if cells == 0 || k_total == 0 {
-        return cols;
-    }
-    let khw = kernel_h * kernel_w;
-    let wide = cells * inputs.len();
-    threads::parallel_row_bands(cols.as_mut_slice(), wide, k_total, k_total * wide, |k0, band| {
-        for (dk, wide_row) in band.chunks_mut(wide).enumerate() {
-            let k = k0 + dk;
-            let (ic, ky, kx) = (k / khw, (k % khw) / kernel_w, k % kernel_w);
-            for (item, row) in wide_row.chunks_mut(cells).enumerate() {
-                let chan = inputs[item].channel(ic);
-                for oy in window.y0..window.y1 {
-                    let iy = oy * stride + ky;
-                    let row_base = (oy - window.y0) * cells_w;
-                    if iy < padding || iy >= in_h + padding {
-                        continue;
-                    }
-                    let chan_base = (iy - padding) * in_w;
-                    for ox in window.x0..window.x1 {
-                        let ix = ox * stride + kx;
-                        if ix < padding || ix >= in_w + padding {
-                            continue;
-                        }
-                        row[row_base + (ox - window.x0)] = chan[chan_base + (ix - padding)];
-                    }
-                }
-            }
-        }
-    });
-    cols
-}
-
 /// GEMM with per-row initial values: `out[i][j] = bias[i] + Σₖ a[i][k]·b[k][j]`,
 /// accumulated in ascending-k order. With `a` = flat conv weights
 /// (`out_channels × kernel_volume`) and `b` = an [`im2col`] matrix this is
@@ -539,26 +488,13 @@ pub(crate) fn conv_scores(weights: &[f32], bias: &[f32], cols: &Matrix) -> Matri
 /// Panics (via slice indexing) if `scores` does not have one row per
 /// output channel and one column per window cell.
 pub fn scatter_window(scores: &Matrix, out: &mut FeatureMap, window: &DirtyRect) {
-    scatter_columns(scores, 0, out, window);
-}
-
-/// [`scatter_window`] reading the window cells from column offset `col0`
-/// of a wider score matrix — the per-item leg of the batched
-/// [`im2col_batch`] lowering, whose GEMM result holds one cell block per
-/// batch item.
-pub(crate) fn scatter_columns(
-    scores: &Matrix,
-    col0: usize,
-    out: &mut FeatureMap,
-    window: &DirtyRect,
-) {
     let cells_w = window.x1.saturating_sub(window.x0);
     let out_w = out.width();
     for oc in 0..out.channels() {
         let row = scores.row(oc);
         let chan = out.channel_mut(oc);
         for oy in window.y0..window.y1 {
-            let base = col0 + (oy - window.y0) * cells_w;
+            let base = (oy - window.y0) * cells_w;
             let src = &row[base..base + cells_w];
             chan[oy * out_w + window.x0..oy * out_w + window.x1].copy_from_slice(src);
         }

@@ -17,9 +17,9 @@
 //! * deterministic seeded weight initialisation ([`init`]),
 //! * register-blocked fast kernels behind a [`KernelPolicy`] dispatch and
 //!   the golden differential harness proving them exact ([`gemm`],
-//!   [`golden`]), with explicit SIMD lanes ([`simd`]), a scoped
-//!   worker-thread pool ([`threads`]) and a population-batch wrapper
-//!   ([`batch`]) — all `==`-identical to the reference loops.
+//!   [`golden`]), with explicit SIMD lanes ([`simd`]) and a scoped
+//!   worker-thread fan-out ([`threads`]) — all `==`-identical to the
+//!   reference loops.
 //!
 //! Everything is `f32`, row-major, and deterministic given a seed.
 //!

@@ -376,57 +376,6 @@ impl Matrix {
         out
     }
 
-    /// Copies the row range `[start, start + rows)` into a new matrix
-    /// (the per-item view of a row-stacked batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the number of rows.
-    pub fn row_block(&self, start: usize, rows: usize) -> Matrix {
-        assert!(start + rows <= self.rows, "row range out of bounds");
-        let mut out = Matrix::zeros(rows, self.cols);
-        out.data.copy_from_slice(&self.data[start * self.cols..(start + rows) * self.cols]);
-        out
-    }
-
-    /// Overwrites the row range starting at `start` with `block`'s rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts differ or the range exceeds the number
-    /// of rows.
-    pub fn set_row_block(&mut self, start: usize, block: &Matrix) {
-        assert_eq!(self.cols, block.cols, "row block column count mismatch");
-        assert!(start + block.rows <= self.rows, "row range out of bounds");
-        self.data[start * self.cols..(start + block.rows) * self.cols].copy_from_slice(&block.data);
-    }
-
-    /// Vertically stacks matrices with equal column counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyShape`] for an empty list and
-    /// [`TensorError::ShapeMismatch`] when column counts disagree.
-    pub fn vstack(items: &[&Matrix]) -> Result<Matrix> {
-        let first = items.first().ok_or(TensorError::EmptyShape { op: "vstack" })?;
-        let cols = first.cols;
-        let total_rows = items.iter().map(|m| m.rows).sum();
-        let mut out = Matrix::zeros(total_rows, cols);
-        let mut at = 0;
-        for item in items {
-            if item.cols != cols {
-                return Err(TensorError::ShapeMismatch {
-                    op: "vstack",
-                    lhs: vec![first.rows, cols],
-                    rhs: vec![item.rows, item.cols],
-                });
-            }
-            out.set_row_block(at, item);
-            at += item.rows;
-        }
-        Ok(out)
-    }
-
     /// Frobenius norm of the matrix.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -514,22 +463,6 @@ mod tests {
         assert_eq!(cat.shape(), (2, 5));
         assert_eq!(cat.columns(0, 2), a);
         assert_eq!(cat.columns(2, 3), b);
-    }
-
-    #[test]
-    fn row_block_and_vstack_round_trip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 6.0]]).unwrap();
-        let stacked = Matrix::vstack(&[&a, &b]).unwrap();
-        assert_eq!(stacked.shape(), (3, 2));
-        assert_eq!(stacked.row_block(0, 2), a);
-        assert_eq!(stacked.row_block(2, 1), b);
-        let mut rebuilt = Matrix::zeros(3, 2);
-        rebuilt.set_row_block(0, &a);
-        rebuilt.set_row_block(2, &b);
-        assert_eq!(rebuilt, stacked);
-        assert!(Matrix::vstack(&[]).is_err());
-        assert!(Matrix::vstack(&[&a, &Matrix::zeros(1, 3)]).is_err());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //!
 //! - [`fan_out`] runs `count` independent work units over at most
 //!   `workers` threads and returns the results in unit order. Campaign
-//!   cells, transfer groups, GA population chunks and the server's gate
-//!   groups all go through it.
+//!   cells, transfer groups and GA population chunks all go through it.
 //! - The blocked GEMM/im2col kernels split their *output rows* into at
 //!   most [`threads`] contiguous bands, and each band runs the **same
 //!   serial microkernel** on its disjoint sub-slice of the output. Every

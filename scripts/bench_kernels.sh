@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Kernel micro-benchmark: reference vs blocked GEMM/im2col (plus the
-# population-batched cases) on the detectors' hot shapes. Writes
+# Kernel micro-benchmark: reference vs blocked GEMM/im2col on the
+# detectors' hot shapes. Writes
 # BENCH_kernels.json at the repo root — one record per (--quick,
 # --threads) pair — and fails (via --check) when the blocked convolution
 # regresses below the reference one on the medium shape or the DETR
