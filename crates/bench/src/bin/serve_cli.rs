@@ -38,7 +38,6 @@ struct Options {
     smoke: bool,
     drain_secs: u64,
     threads: usize,
-    reactor: bool,
     tenant_rate: f64,
     tenant_burst: f64,
     tenant_quota: usize,
@@ -58,7 +57,6 @@ fn parse_args() -> Result<Options, String> {
         smoke: false,
         drain_secs: 60,
         threads: 1,
-        reactor: false,
         tenant_rate: 0.0,
         tenant_burst: 1.0,
         tenant_quota: 0,
@@ -78,7 +76,9 @@ fn parse_args() -> Result<Options, String> {
             "--smoke" => options.smoke = true,
             "--drain-secs" => options.drain_secs = args.parse(&flag)?,
             "--threads" => options.threads = args.parse(&flag)?,
-            "--reactor" => options.reactor = true,
+            // Every connection is served by the epoll reactor; the flag
+            // stays accepted so existing scripts keep working.
+            "--reactor" => {}
             "--tenant-rate" => options.tenant_rate = args.parse(&flag)?,
             "--tenant-burst" => options.tenant_burst = args.parse(&flag)?,
             "--tenant-quota" => options.tenant_quota = args.parse(&flag)?,
@@ -96,8 +96,8 @@ fn parse_args() -> Result<Options, String> {
                             --threads sets kernel worker threads per job (default 1: the worker\n\
                             pool already runs jobs in parallel; 0 = all cores); served CSVs are\n\
                             identical at any thread count\n\
-                            --reactor multiplexes all connections on one epoll thread instead of\n\
-                            a thread per connection (Linux; elsewhere it falls back)\n\
+                            --reactor is accepted and ignored: one epoll thread always serves\n\
+                            every connection (serving is Linux-only)\n\
                             --tenant-rate/--tenant-burst set the per-tenant token bucket\n\
                             (submissions/s and burst size; rate 0 = unlimited) and\n\
                             --tenant-quota caps each tenant's queued+running jobs (0 = unlimited)\n\
@@ -155,7 +155,6 @@ fn run_single(options: &Options) -> ExitCode {
         drain_deadline: Duration::from_secs(options.drain_secs),
         request_log: true,
         kernel_threads: options.threads,
-        reactor: options.reactor,
         tenant_policy: TenantPolicy {
             rate: options.tenant_rate,
             burst: options.tenant_burst,
@@ -174,11 +173,7 @@ fn run_single(options: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "bea-serve listening on http://{} ({} front-end)",
-        server.addr(),
-        if options.reactor { "reactor" } else { "thread-per-connection" },
-    );
+    println!("bea-serve listening on http://{}", server.addr());
     println!("store: {}", options.out.display());
     println!("endpoints: POST /v1/attacks, GET /v1/attacks/{{id}}[/csv|/progress], GET /healthz, GET /metrics, POST /v1/shutdown");
 
@@ -240,9 +235,6 @@ fn spawn_shard(options: &Options, shard: usize) -> io::Result<Shard> {
     if options.smoke {
         cmd.arg("--smoke");
     }
-    if options.reactor {
-        cmd.arg("--reactor");
-    }
     let mut child = cmd.spawn()?;
     let stdout = child.stdout.take().expect("piped child stdout");
     let mut reader = BufReader::new(stdout);
@@ -291,7 +283,12 @@ fn run_router(options: &Options) -> ExitCode {
             }
         }
     }
-    let router = match Router::start(&options.addr, Arc::clone(&shard_set)) {
+    let router = match Router::start(
+        &options.addr,
+        Arc::clone(&shard_set),
+        Duration::from_secs(options.idle_secs.max(1)),
+        options.conn_requests,
+    ) {
         Ok(router) => router,
         Err(e) => {
             eprintln!("router failed to start: {e}");

@@ -1,10 +1,12 @@
 //! End-to-end shard-router tests driving the real `serve_cli` binary.
 //!
-//! Two contracts: sharding must not change results — the per-cell CSVs
-//! a `--shards 4` cluster serves are byte-identical to a `--shards 1`
-//! server's — and a `kill -9` of one shard must not lose accepted jobs:
-//! the supervisor respawns the shard, the replayed job log re-runs its
-//! pending work, and every submission still reaches `done`.
+//! Sharding must not change results — the per-cell CSVs a `--shards 4`
+//! cluster serves are byte-identical to a `--shards 1` server's — and a
+//! `kill -9` of one shard must not lose accepted jobs: the supervisor
+//! respawns the shard, the replayed job log re-runs its pending work,
+//! and every submission still reaches `done`. The router relays
+//! progress streams byte for byte, and its pooled shard connections
+//! survive the shards closing them when idle.
 
 use bea_serve::{client, Client};
 use std::collections::BTreeMap;
@@ -38,7 +40,6 @@ fn spawn_serve(out: &std::path::Path, extra: &[&str]) -> ServeProc {
         .arg("--addr")
         .arg("127.0.0.1:0")
         .arg("--smoke")
-        .arg("--reactor")
         .arg("--workers")
         .arg("1")
         .arg("--queue")
@@ -213,15 +214,9 @@ fn killing_one_shard_loses_no_accepted_jobs() {
         .parse()
         .expect("numeric id suffix");
     let victim_shard = bea_serve::router::shard_for_id(victim_id, 4);
-    let bea_core::telemetry::JsonValue::Array(shard_status) =
-        health.get("shard_status").expect("shard_status")
-    else {
-        panic!("shard_status is not an array");
-    };
-    let pid = shard_status
-        .iter()
-        .find(|entry| entry.get("shard").and_then(|v| v.as_u64()) == Some(victim_shard as u64))
-        .and_then(|entry| entry.get("pid").and_then(|v| v.as_u64()))
+    let pid = shard_status(&client, victim_shard)
+        .get("pid")
+        .and_then(|v| v.as_u64())
         .expect("healthz exposes shard pids");
     let killed = Command::new("kill").args(["-9", &pid.to_string()]).status().expect("kill runs");
     assert!(killed.success(), "kill -9 {pid} failed");
@@ -243,6 +238,85 @@ fn killing_one_shard_loses_no_accepted_jobs() {
     assert_eq!(metrics.status, 200);
     let text = metrics.body_text().unwrap();
     assert!(text.contains("bea_serve_jobs_accepted_total"), "{text}");
+
+    shutdown(&mut proc);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// The `/healthz` entry of shard `shard`.
+fn shard_status(client: &Client, shard: usize) -> bea_core::telemetry::JsonValue {
+    let healthz = client.healthz().expect("healthz");
+    let health = bea_core::telemetry::parse_json(healthz.body_text().unwrap()).expect("json");
+    let Some(bea_core::telemetry::JsonValue::Array(entries)) = health.get("shard_status") else {
+        panic!("shard_status is not an array");
+    };
+    entries
+        .iter()
+        .find(|entry| entry.get("shard").and_then(|v| v.as_u64()) == Some(shard as u64))
+        .cloned()
+        .expect("healthz lists every shard")
+}
+
+/// Follows a progress stream to its end: the status and every line.
+fn progress_of(client: &Client, id: &str) -> (u16, Vec<String>) {
+    let mut lines = Vec::new();
+    let status = client.progress(id, |line| lines.push(line.to_string())).expect("progress");
+    (status, lines)
+}
+
+#[test]
+fn progress_through_the_router_matches_the_owning_shard() {
+    let out = scratch("progress");
+    let mut proc = spawn_serve(&out, &["--shards", "2"]);
+    let client = Client::new(proc.addr.clone());
+    let id = submitted_id(&client.submit(&job_bodies()[0]).expect("submit"));
+    wait_done(&client, &id);
+
+    let number: u64 = id.strip_prefix("job-").and_then(|n| n.parse().ok()).expect("job-N id");
+    let owner = shard_status(&client, bea_serve::router::shard_for_id(number, 2));
+    let owner_addr = owner.get("addr").and_then(|v| v.as_str()).expect("shard address");
+    let via_router = progress_of(&client, &id);
+    assert_eq!(via_router.0, 200);
+    assert!(
+        via_router.1.iter().any(|line| line.contains("\"type\":\"generation\"")),
+        "{:?}",
+        via_router.1
+    );
+    assert_eq!(via_router, progress_of(&Client::new(owner_addr), &id));
+
+    // An unknown id is the owning shard's 404, relayed.
+    let (status, lines) = progress_of(&client, "job-999");
+    assert_eq!(status, 404, "{lines:?}");
+    assert!(lines.iter().any(|line| line.contains("unknown job job-999")), "{lines:?}");
+    assert_eq!(client.status("job-999").expect("status").status, 404);
+
+    shutdown(&mut proc);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn router_reconnects_after_a_shard_closes_its_idle_connection() {
+    let out = scratch("idle");
+    let mut proc = spawn_serve(&out, &["--shards", "2", "--idle-secs", "1"]);
+    let client = Client::new(proc.addr.clone());
+    // Two cells owned by one shard, so the second submission goes out
+    // on the connection the first one pooled.
+    let bodies = job_bodies();
+    let shard_of = |body: &String| {
+        let job = bea_core::AttackJob::from_json(body).expect("job parses");
+        bea_serve::router::shard_for_cell(&job.cell_spec(), 2)
+    };
+    let second = bodies[1..]
+        .iter()
+        .find(|body| shard_of(body) == shard_of(&bodies[0]))
+        .expect("two of eight cells share a shard");
+
+    let first_id = submitted_id(&client.submit(&bodies[0]).expect("first submit"));
+    // The shard drops the pooled connection after a second of silence.
+    std::thread::sleep(Duration::from_secs(2));
+    let second_id = submitted_id(&client.submit(second).expect("second submit"));
+    wait_done(&client, &first_id);
+    wait_done(&client, &second_id);
 
     shutdown(&mut proc);
     let _ = std::fs::remove_dir_all(&out);

@@ -15,8 +15,8 @@
 //! invariants stated at the call site.
 //!
 //! Off Linux the crate still compiles; constructing a [`Poller`] reports
-//! [`std::io::ErrorKind::Unsupported`] and callers fall back to the
-//! blocking thread-per-connection path.
+//! [`std::io::ErrorKind::Unsupported`], which the serving layer passes
+//! on: serving is Linux-only.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,13 @@
 //! A minimal blocking HTTP client over `std::net::TcpStream`.
 //!
-//! Shared by the load generator, the integration tests and the CI smoke
-//! job so none of them need an external HTTP tool. [`request`] speaks
-//! the one-request-per-connection subset; [`HttpConnection`] holds a
-//! keep-alive connection open and frames sequential responses through
-//! the incremental [`ResponseParser`], reconnect-on-close left to the
-//! caller.
+//! Shared by the load generator, the shard router, the integration
+//! tests and the CI smoke job so none of them need an external HTTP
+//! tool. [`request`] speaks the one-request-per-connection subset;
+//! [`HttpConnection`] holds a keep-alive connection open,
+//! reconnect-on-close left to the caller. Both frame responses through
+//! the incremental [`ResponseParser`].
 
-use crate::http::{status_reason, Request, ResponseParser};
+use crate::http::{status_reason, ResponseParser};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -64,9 +64,47 @@ fn timeout_error(phase: &str, e: io::Error) -> io::Error {
 /// Sends a whole request in one write. Written piecewise (as `write!`
 /// on a socket does), the later segments wait on Nagle's algorithm for
 /// the peer's delayed ACK, stalling every keep-alive request ~40 ms.
-fn send(stream: &mut TcpStream, request: &[u8]) -> io::Result<()> {
-    stream.write_all(request).map_err(|e| timeout_error("request write", e))?;
+fn send(
+    stream: &mut TcpStream,
+    host: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    keep_alive: bool,
+) -> io::Result<()> {
+    let body = body.unwrap_or("");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" }
+    );
+    stream.write_all(request.as_bytes()).map_err(|e| timeout_error("request write", e))?;
     stream.flush().map_err(|e| timeout_error("request write", e))
+}
+
+/// Reads off `stream` until `parser` frames one whole response.
+fn read_response(stream: &mut TcpStream, parser: &mut ResponseParser) -> io::Result<HttpResponse> {
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        if let Some(parsed) = parser.next_response()? {
+            return Ok(HttpResponse {
+                status: parsed.status,
+                headers: parsed.headers,
+                body: parsed.body,
+            });
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "server closed the connection before a full response",
+                ))
+            }
+            Ok(n) => parser.feed(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(timeout_error("response read", e)),
+        }
+    }
 }
 
 /// One parsed HTTP response.
@@ -132,47 +170,9 @@ pub fn request_with(
     body: Option<&str>,
     timeouts: ClientTimeouts,
 ) -> io::Result<HttpResponse> {
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut stream = if timeouts.connect.is_zero() {
-        TcpStream::connect(addr)?
-    } else {
-        let resolved = std::net::ToSocketAddrs::to_socket_addrs(addr)?
-            .next()
-            .ok_or_else(|| invalid(format!("no address for {addr:?}")))?;
-        TcpStream::connect_timeout(&resolved, timeouts.connect)
-            .map_err(|e| timeout_error("connect", e))?
-    };
-    let optional = |d: Duration| if d.is_zero() { None } else { Some(d) };
-    stream.set_read_timeout(optional(timeouts.read))?;
-    stream.set_write_timeout(optional(timeouts.write))?;
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    send(&mut stream, head.as_bytes())?;
-
-    // The response grammar mirrors the request grammar closely enough to
-    // reuse the request parser: swap the status line for a request line.
-    let mut reader = BufReader::new(stream);
-    let status_line =
-        read_status_line(&mut reader).map_err(|e| timeout_error("response read", e))?;
-    let mut parts = status_line.splitn(3, ' ');
-    let (version, code) = match (parts.next(), parts.next()) {
-        (Some(v), Some(c)) if v.starts_with("HTTP/") => (v, c),
-        _ => return Err(invalid(format!("malformed status line {status_line:?}"))),
-    };
-    let _ = version;
-    let status: u16 =
-        code.parse().map_err(|e| invalid(format!("bad status code {code:?}: {e}")))?;
-    // Re-feed the remainder as a bodiless request so header and body
-    // handling stay in one place.
-    let mut synthetic = Vec::from(&b"GET / HTTP/1.1\r\n"[..]);
-    let mut rest = Vec::new();
-    io::Read::read_to_end(&mut reader, &mut rest).map_err(|e| timeout_error("response read", e))?;
-    synthetic.extend_from_slice(&rest);
-    let parsed = Request::read_from(&mut BufReader::new(&synthetic[..]), MAX_RESPONSE_BODY)?;
-    Ok(HttpResponse { status, headers: parsed.headers, body: parsed.body })
+    let mut stream = connect(addr, timeouts)?;
+    send(&mut stream, addr, method, path, body, false)?;
+    read_response(&mut stream, &mut ResponseParser::new(MAX_RESPONSE_BODY))
 }
 
 /// Reads the CRLF-terminated status line.
@@ -249,34 +249,15 @@ impl HttpConnection {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<HttpResponse> {
-        let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-            self.addr,
-            body.len()
-        );
-        send(&mut self.stream, head.as_bytes())?;
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            if let Some(parsed) = self.parser.next_response()? {
-                return Ok(HttpResponse {
-                    status: parsed.status,
-                    headers: parsed.headers,
-                    body: parsed.body,
-                });
-            }
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the keep-alive connection",
-                    ))
-                }
-                Ok(n) => self.parser.feed(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(timeout_error("response read", e)),
-            }
-        }
+        send(&mut self.stream, &self.addr, method, path, body, true)?;
+        read_response(&mut self.stream, &mut self.parser)
+    }
+
+    /// `true` when part of a response has arrived and not yet been
+    /// framed: after a failed [`HttpConnection::request`], `false` means
+    /// no byte of the answer came back.
+    pub(crate) fn mid_response(&self) -> bool {
+        self.parser.mid_response()
     }
 }
 
@@ -366,11 +347,8 @@ impl Client {
     /// [`io::ErrorKind::InvalidData`].
     pub fn progress(&self, id: &str, mut on_line: impl FnMut(&str)) -> io::Result<u16> {
         let mut stream = connect(&self.addr, self.timeouts)?;
-        let head = format!(
-            "GET /v1/attacks/{id}/progress HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n\r\n",
-            self.addr
-        );
-        send(&mut stream, head.as_bytes())?;
+        let path = format!("/v1/attacks/{id}/progress");
+        send(&mut stream, &self.addr, "GET", &path, None, false)?;
         let mut reader = BufReader::new(stream);
         let status_line =
             read_status_line(&mut reader).map_err(|e| timeout_error("response read", e))?;

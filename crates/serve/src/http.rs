@@ -9,13 +9,11 @@
 //!
 //! Parsing is *incremental*: [`RequestParser`] is fed whatever bytes the
 //! transport produced — a whole pipelined burst or one byte at a time —
-//! and yields complete requests as they materialise. The blocking path
-//! ([`Request::read_from`]) and the non-blocking reactor path both run
-//! on this one state machine, so the caps behave identically no matter
-//! how reads are sliced. [`ResponseParser`] is the mirror image for
-//! clients reading responses off non-blocking sockets.
+//! and yields complete requests as they materialise, so the caps behave
+//! identically no matter how reads are sliced. [`ResponseParser`] is the
+//! mirror image for clients reading responses.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Upper bound on the request line and on each header line, in bytes.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -64,38 +62,6 @@ impl Request {
     pub fn body_text(&self) -> Result<&str, String> {
         std::str::from_utf8(&self.body).map_err(|e| format!("body is not UTF-8: {e}"))
     }
-
-    /// Reads and parses one request from a buffered stream. `max_body`
-    /// bounds the accepted `Content-Length`; bigger announcements fail
-    /// without reading the body.
-    ///
-    /// This is the blocking frontend of [`RequestParser`]: bytes stream
-    /// from the reader into the same incremental state machine the
-    /// reactor path feeds, so caps and error messages are identical no
-    /// matter which transport carried the request.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] on malformed requests and exceeded
-    /// limits, plus any transport error.
-    pub fn read_from<R: BufRead>(reader: &mut R, max_body: usize) -> io::Result<Request> {
-        let mut parser = RequestParser::new(max_body);
-        loop {
-            if let Some(request) = parser.next_request()? {
-                return Ok(request);
-            }
-            let chunk = reader.fill_buf()?;
-            if chunk.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-request",
-                ));
-            }
-            let taken = chunk.len();
-            parser.feed(chunk);
-            reader.consume(taken);
-        }
-    }
 }
 
 /// Head-parsing progress of a [`RequestParser`].
@@ -112,8 +78,8 @@ enum ParseState {
     Failed,
 }
 
-/// The incremental HTTP/1.1 message parser shared by the blocking and
-/// reactor paths. See the [module docs](self).
+/// The incremental HTTP/1.1 message parser. See the
+/// [module docs](self).
 ///
 /// Feed transport bytes with [`RequestParser::feed`] and drain complete
 /// messages with [`RequestParser::next_request`]. Bytes beyond a
@@ -311,10 +277,10 @@ impl ParsedResponse {
     }
 }
 
-/// Incremental HTTP/1.1 *response* parser for clients reading off
-/// non-blocking sockets (the open-loop load generator). Shares the caps
-/// and buffering behaviour of [`RequestParser`]; only the start-line
-/// grammar differs.
+/// Incremental HTTP/1.1 *response* parser for clients: the blocking
+/// client and the open-loop load generator. Shares the caps and
+/// buffering behaviour of [`RequestParser`]; only the start-line grammar
+/// differs.
 #[derive(Debug, Clone)]
 pub struct ResponseParser {
     status: Option<u16>,
@@ -331,6 +297,11 @@ impl ResponseParser {
     /// [`RequestParser::feed`]).
     pub fn feed(&mut self, bytes: &[u8]) {
         self.inner.feed(bytes);
+    }
+
+    /// `true` when bytes of a response not yet returned are buffered.
+    pub(crate) fn mid_response(&self) -> bool {
+        self.status.is_some() || self.inner.buffered() > 0
     }
 
     /// Returns the next complete response, if one materialised.
@@ -509,10 +480,11 @@ pub fn final_chunk() -> &'static [u8] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(raw: &[u8]) -> io::Result<Request> {
-        Request::read_from(&mut BufReader::new(raw), 1024)
+        let mut parser = RequestParser::new(1024);
+        parser.feed(raw);
+        parser.next_request()?.ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
     }
 
     #[test]

@@ -3,16 +3,20 @@
 //! The crate turns the butterfly-effect attack stack into a long-running
 //! service using nothing outside `std` (plus the workspace's raw-epoll
 //! `bea-reactor` crate): a hand-rolled incremental HTTP/1.1 layer over
-//! [`std::net::TcpListener`] ([`http`]), an event-driven connection
+//! [`std::net::TcpListener`] ([`http`]), one event-driven connection
 //! front-end multiplexing thousands of sockets on one thread
-//! (`reactor`, Linux; a thread-per-connection fallback elsewhere),
+//! (`reactor`) for both the server and the shard router ([`router`]),
 //! per-tenant token-bucket admission and in-system quotas ([`tenant`]),
 //! a tenant-fair bounded job queue with explicit backpressure
 //! (`bea-core`'s `FairQueue`), a worker pool that drains jobs through
 //! the same deterministic campaign path batch runs use, one job per
 //! worker ([`server`]), Prometheus-text metrics ([`metrics`]) and
-//! a minimal blocking client for load generation and tests
-//! ([`client`]).
+//! a minimal blocking client for load generation, the router's hops and
+//! tests ([`client`]).
+//!
+//! Serving is Linux-only: the front-end needs epoll, so elsewhere
+//! [`Server::start`] and [`Router::start`] report
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! # Endpoints
 //!
@@ -40,7 +44,6 @@ pub mod client;
 pub mod http;
 pub mod metrics;
 pub mod progress;
-#[cfg(unix)]
 pub(crate) mod reactor;
 pub mod router;
 pub mod server;

@@ -1,17 +1,15 @@
-//! The event-driven connection front-end: one thread, thousands of
-//! connections.
+//! The connection front-end: one thread, thousands of connections.
 //!
-//! The blocking front-end (`accept_loop`) spawns a thread per
-//! connection, which caps concurrency at whatever the OS tolerates in
-//! stacks. This module replaces it with a readiness loop over
-//! [`bea_reactor::Poller`]: the listener and every connection are
-//! non-blocking and registered with epoll; the loop sleeps until the
-//! kernel reports readiness, drains whatever arrived through the
-//! incremental [`RequestParser`], routes complete requests through the
-//! *same* [`route`](crate::server) the blocking path uses, and flushes
-//! responses as sockets accept them. Parsing, routing, admission
-//! control and job execution are untouched — the reactor changes how
-//! bytes move, never what they mean.
+//! Both the attack server and the shard router serve through this one
+//! readiness loop over [`bea_reactor::Poller`]: the listener and every
+//! connection are non-blocking and registered with epoll; the loop
+//! sleeps until the kernel reports readiness, drains whatever arrived
+//! through the incremental [`RequestParser`], hands complete requests
+//! to the [`Service`] behind it (the server's `Shared` or the router)
+//! and flushes responses as sockets accept them. Parsing, routing,
+//! admission control and job execution are the service's — the reactor
+//! changes how bytes move, never what they mean. Serving is Linux-only:
+//! elsewhere `Poller::new` reports `Unsupported` and nothing starts.
 //!
 //! Connection lifecycle: connections are **persistent**. A request
 //! whose semantics allow keep-alive (HTTP/1.1 without
@@ -33,18 +31,61 @@
 //! is exempt from the idle sweep while the job is merely quiet — it is
 //! only dropped when the *client* stops reading (pending output stuck
 //! past the idle timeout) or closes.
+//!
+//! A **tunnel** (the router's progress streams) is terminal too: the
+//! connection leaves the loop and a relay thread writes its unflushed
+//! output, then copies the upstream socket's bytes to the client until
+//! either side ends.
 
-use crate::http::{chunked_head, encode_chunk, final_chunk, Request, RequestParser};
+use crate::http::{chunked_head, encode_chunk, final_chunk, Request, RequestParser, Response};
 use crate::progress::ProgressFeed;
-use crate::server::{error_response, route, Routed, Shared};
+use crate::server::error_response;
 use bea_reactor::{Event, Interest, Poller, Token};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// What a routed request turned into.
+pub(crate) enum Routed {
+    /// A complete response to serialise and (possibly) keep going.
+    Plain(Response),
+    /// Stream this feed as chunked JSONL; terminal on the connection.
+    Progress(Arc<ProgressFeed>),
+    /// Relay this upstream socket's bytes to the client verbatim (the
+    /// request has already been written upstream); terminal on the
+    /// connection.
+    Tunnel(TcpStream),
+}
+
+impl From<Response> for Routed {
+    fn from(response: Response) -> Self {
+        Routed::Plain(response)
+    }
+}
+
+/// The service a reactor serves: the attack server or the shard router.
+pub(crate) trait Service {
+    /// Answers one request, naming the endpoint it hit.
+    fn route(&mut self, request: &Request) -> (&'static str, Routed);
+
+    /// Books one answered request. `method` and `path` are `"?"` when the
+    /// request did not parse (`endpoint` is then `"malformed"`).
+    fn record(
+        &self,
+        endpoint: &'static str,
+        method: &str,
+        path: &str,
+        status: u16,
+        elapsed: Duration,
+    );
+
+    /// `true` once the service asked to stop; the loop then ends.
+    fn stop_requested(&self) -> bool;
+}
 
 /// The listener's registration token; connections start at 1.
 const LISTENER: Token = 0;
@@ -77,8 +118,11 @@ struct Conn {
     closing: bool,
     /// The active progress stream, if this connection became one.
     progress: Option<ProgressStream>,
-    /// Requests answered on this connection (keep-alive cap).
-    served: usize,
+    /// The upstream socket this connection is about to be relayed from.
+    tunnel: Option<TcpStream>,
+    /// Requests this connection may still have answered (keep-alive
+    /// cap).
+    requests_left: usize,
     last_activity: Instant,
     /// The interest currently registered with the poller.
     interest: Interest,
@@ -107,9 +151,33 @@ impl Conn {
     }
 }
 
-/// Runs the reactor until shutdown is requested. `listener` must
-/// already be non-blocking.
-pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, mut poller: Poller) {
+/// Serves `service` on `listener` from a new thread until the service
+/// asks to stop. Connections silent for `idle_timeout` are dropped, and
+/// each answers at most `conn_requests_max` requests (at least one).
+///
+/// # Errors
+///
+/// Propagates the failure to make the listener non-blocking.
+pub(crate) fn spawn<S: Service + Send + 'static>(
+    listener: TcpListener,
+    poller: Poller,
+    service: S,
+    idle_timeout: Duration,
+    conn_requests_max: usize,
+) -> io::Result<JoinHandle<()>> {
+    listener.set_nonblocking(true)?;
+    let conn_requests_max = conn_requests_max.max(1);
+    Ok(std::thread::spawn(move || run(listener, poller, service, idle_timeout, conn_requests_max)))
+}
+
+/// Runs the reactor until the service asks to stop.
+fn run<S: Service>(
+    listener: TcpListener,
+    mut poller: Poller,
+    mut service: S,
+    idle_timeout: Duration,
+    conn_requests_max: usize,
+) {
     if let Err(e) = poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE) {
         // Registration failing means no connection will ever be seen;
         // surface it and bail rather than spin silently.
@@ -122,7 +190,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, mut poller: Poller
     let mut last_sweep = Instant::now();
 
     loop {
-        if shared.stop_requested.load(Ordering::SeqCst) {
+        if service.stop_requested() {
             break;
         }
         if poller.wait(&mut events, Some(TICK)).is_err() {
@@ -131,12 +199,15 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, mut poller: Poller
         let batch = std::mem::take(&mut events);
         for event in &batch {
             if event.token == LISTENER {
-                accept_ready(&listener, &poller, &mut conns, &mut next_token);
+                accept_ready(&listener, &poller, &mut conns, &mut next_token, conn_requests_max);
                 continue;
             }
             let Some(mut conn) = conns.remove(&event.token) else { continue };
-            let keep = handle_event(&mut conn, event, &shared);
-            if keep {
+            let keep = handle_event(&mut conn, event, &mut service);
+            if let Some(upstream) = conn.tunnel.take() {
+                let _ = poller.deregister(conn.stream.as_raw_fd());
+                relay(conn, upstream);
+            } else if keep {
                 settle(&poller, event.token, &mut conn);
                 conns.insert(event.token, conn);
             } else {
@@ -151,7 +222,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, mut poller: Poller
                 // Streams are exempt while the job is quiet but the
                 // client keeps reading; a stream whose output sits
                 // unaccepted past the timeout has lost its reader.
-                let idle = conn.last_activity.elapsed() >= shared.idle_timeout;
+                let idle = conn.last_activity.elapsed() >= idle_timeout;
                 let live =
                     if conn.progress.is_some() { !(idle && conn.pending_out()) } else { !idle };
                 if !live {
@@ -180,6 +251,7 @@ fn accept_ready(
     poller: &Poller,
     conns: &mut HashMap<Token, Conn>,
     next_token: &mut Token,
+    conn_requests_max: usize,
 ) {
     loop {
         match listener.accept() {
@@ -201,7 +273,8 @@ fn accept_ready(
                         written: 0,
                         closing: false,
                         progress: None,
-                        served: 0,
+                        tunnel: None,
+                        requests_left: conn_requests_max,
                         last_activity: Instant::now(),
                         interest: Interest::READABLE,
                     },
@@ -216,10 +289,10 @@ fn accept_ready(
 
 /// Processes one readiness event. Returns `false` when the connection
 /// is finished (or broken) and should be retired.
-fn handle_event(conn: &mut Conn, event: &Event, shared: &Arc<Shared>) -> bool {
+fn handle_event<S: Service>(conn: &mut Conn, event: &Event, service: &mut S) -> bool {
     conn.last_activity = Instant::now();
     if event.readable {
-        match drain_reads(conn, shared) {
+        match drain_reads(conn, service) {
             Ok(open) => {
                 if !open {
                     // EOF. A streaming client that went away takes its
@@ -256,7 +329,7 @@ fn handle_event(conn: &mut Conn, event: &Event, shared: &Arc<Shared>) -> bool {
 /// # Errors
 ///
 /// Transport failures; the caller retires the connection.
-fn drain_reads(conn: &mut Conn, shared: &Arc<Shared>) -> io::Result<bool> {
+fn drain_reads<S: Service>(conn: &mut Conn, service: &mut S) -> io::Result<bool> {
     let mut buf = [0u8; READ_CHUNK];
     let mut open = true;
     loop {
@@ -271,25 +344,24 @@ fn drain_reads(conn: &mut Conn, shared: &Arc<Shared>) -> io::Result<bool> {
             Err(e) => return Err(e),
         }
     }
-    answer_parsed(conn, shared);
+    answer_parsed(conn, service);
     Ok(open)
 }
 
 /// Answers every complete buffered request in arrival order, honouring
 /// keep-alive semantics: stops answering once the connection is
 /// closing (a `Connection: close` request mid-pipeline leaves the rest
-/// unanswered) or a progress stream started.
-fn answer_parsed(conn: &mut Conn, shared: &Arc<Shared>) {
-    while !conn.closing && conn.progress.is_none() {
+/// unanswered, and streams and tunnels close it).
+fn answer_parsed<S: Service>(conn: &mut Conn, service: &mut S) {
+    while !conn.closing {
         match conn.parser.next_request() {
-            Ok(Some(request)) => respond(conn, &request, shared),
+            Ok(Some(request)) => respond(conn, &request, service),
             Ok(None) => break,
             Err(e) => {
                 let started = Instant::now();
                 let response = error_response(400, &e.to_string());
                 let _ = response.write_to(&mut conn.out);
-                shared.metrics.record_request("malformed", 400, started.elapsed());
-                shared.log_request("?", "?", 400, started.elapsed());
+                service.record("malformed", "?", "?", 400, started.elapsed());
                 conn.closing = true;
                 break;
             }
@@ -299,11 +371,11 @@ fn answer_parsed(conn: &mut Conn, shared: &Arc<Shared>) {
 
 /// Routes one request and buffers its response, updating the
 /// connection's keep-alive state.
-fn respond(conn: &mut Conn, request: &Request, shared: &Arc<Shared>) {
+fn respond<S: Service>(conn: &mut Conn, request: &Request, service: &mut S) {
     let started = Instant::now();
-    conn.served += 1;
-    let keep_alive = request.wants_keep_alive() && conn.served < shared.conn_requests_max;
-    let (endpoint, routed) = route(request, shared);
+    conn.requests_left -= 1;
+    let keep_alive = request.wants_keep_alive() && conn.requests_left > 0;
+    let (endpoint, routed) = service.route(request);
     let status = match routed {
         Routed::Plain(response) => {
             let _ = response.write_to_with(&mut conn.out, keep_alive);
@@ -320,10 +392,14 @@ fn respond(conn: &mut Conn, request: &Request, shared: &Arc<Shared>) {
             conn.closing = true;
             200
         }
+        Routed::Tunnel(upstream) => {
+            // The shard's answer decides the status; the relay sends it.
+            conn.tunnel = Some(upstream);
+            conn.closing = true;
+            200
+        }
     };
-    let elapsed = started.elapsed();
-    shared.metrics.record_request(endpoint, status, elapsed);
-    shared.log_request(&request.method, &request.path, status, elapsed);
+    service.record(endpoint, &request.method, &request.path, status, started.elapsed());
 }
 
 /// Advances every active progress stream: frames newly available feed
@@ -389,6 +465,21 @@ fn settle(poller: &Poller, token: Token, conn: &mut Conn) {
         conn.interest = wanted;
         let _ = poller.modify(conn.stream.as_raw_fd(), token, wanted);
     }
+}
+
+/// Hands a deregistered connection to a relay thread: its unflushed
+/// output goes first, then the upstream bytes until either side ends.
+fn relay(conn: Conn, upstream: TcpStream) {
+    std::thread::spawn(move || {
+        let mut client = conn.stream;
+        if client.set_nonblocking(false).is_err()
+            || client.set_write_timeout(Some(Duration::from_secs(30))).is_err()
+            || client.write_all(&conn.out[conn.written..]).is_err()
+        {
+            return;
+        }
+        crate::router::tunnel(upstream, &mut client);
+    });
 }
 
 /// Deregisters and shuts a finished connection down.

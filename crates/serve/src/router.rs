@@ -25,21 +25,28 @@
 //! order or which jobs raced in between. **Id routing** exploits the
 //! shards' strided id spaces — shard `k` issues ids `k+1, k+1+N, ...`
 //! — so `(id - 1) % N` names the owning shard of any `job-<id>`
-//! without a lookup table. Status polls, CSV fetches and progress
-//! streams tunnel straight through; `/metrics` merges the shards'
-//! Prometheus samples by summing; `/healthz` aggregates and lists the
-//! shard pids. A dead shard answers `503` + `Retry-After` until the
-//! supervisor respawns it (the restarted shard replays its own
+//! without a lookup table. Status polls and CSV fetches are proxied;
+//! progress streams tunnel straight through; `/metrics` merges the
+//! shards' Prometheus samples by summing; `/healthz` aggregates and
+//! lists the shard pids. A dead shard answers `503` + `Retry-After`
+//! until the supervisor respawns it (the restarted shard replays its own
 //! `jobs.jsonl`, so accepted jobs survive a `kill -9`).
+//!
+//! The router is a [`Service`] on one reactor thread, like a shard's
+//! front-end. Its hops are blocking and use one kept-alive
+//! [`HttpConnection`] per shard, so a stalled shard delays every router
+//! client for up to one hop deadline. Progress tunnels are the
+//! exception: each gets its own upstream socket and relay thread.
 
-use crate::client::{request_with, ClientTimeouts, HttpResponse};
+use crate::client::{ClientTimeouts, HttpConnection, HttpResponse};
 use crate::http::{Request, Response};
-use crate::server::error_response;
+use crate::reactor::{Routed, Service};
+use crate::server::{error_response, parse_job_id, stopping, Endpoint};
 use bea_core::campaign::CellSpec;
 use bea_core::grid::fnv1a;
 use bea_core::telemetry::JsonObject;
 use bea_core::AttackJob;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,8 +62,8 @@ struct ShardSlot {
     pid: Option<u32>,
 }
 
-/// The mutable shard directory shared between the router's connection
-/// threads and the supervisor that (re)spawns shard processes.
+/// The mutable shard directory shared between the router's reactor
+/// thread and the supervisor that (re)spawns shard processes.
 #[derive(Debug, Default)]
 pub struct ShardSet {
     slots: Mutex<Vec<ShardSlot>>,
@@ -119,7 +126,7 @@ pub struct Router {
     shards: Arc<ShardSet>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
+    reactor_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Router {
@@ -129,21 +136,32 @@ impl std::fmt::Debug for Router {
 }
 
 impl Router {
-    /// Binds `bind_addr` and starts routing to `shards`.
+    /// Binds `bind_addr` and starts routing to `shards`. Client
+    /// connections silent for `idle_timeout` are dropped, and each
+    /// answers at most `conn_requests_max` requests.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
-    pub fn start(bind_addr: &str, shards: Arc<ShardSet>) -> io::Result<Router> {
+    /// [`io::ErrorKind::Unsupported`] off Linux (the reactor needs
+    /// epoll); propagates bind failures.
+    pub fn start(
+        bind_addr: &str,
+        shards: Arc<ShardSet>,
+        idle_timeout: Duration,
+        conn_requests_max: usize,
+    ) -> io::Result<Router> {
+        let poller = bea_reactor::Poller::new()?;
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_handle = {
-            let shards = Arc::clone(&shards);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(&listener, &shards, &stop))
+        let service = Routing {
+            pool: (0..shards.len()).map(|_| None).collect(),
+            shards: Arc::clone(&shards),
+            stop: Arc::clone(&stop),
         };
-        Ok(Router { shards, addr, stop, accept_handle: Some(accept_handle) })
+        let reactor_handle =
+            crate::reactor::spawn(listener, poller, service, idle_timeout, conn_requests_max)?;
+        Ok(Router { shards, addr, stop, reactor_handle: Some(reactor_handle) })
     }
 
     /// The bound address (useful with port 0).
@@ -157,12 +175,12 @@ impl Router {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting and joins the accept thread.
+    /// Stops accepting and joins the reactor thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the accept loop so it observes the stop flag.
+        // Wake the reactor so it observes the stop flag.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_handle.take() {
+        if let Some(handle) = self.reactor_handle.take() {
             let _ = handle.join();
         }
     }
@@ -178,131 +196,197 @@ fn hop_timeouts() -> ClientTimeouts {
     }
 }
 
-/// Accepts connections until shutdown, one handler thread each (the
-/// router is I/O-light; the shards do the heavy lifting).
-fn accept_loop(listener: &TcpListener, shards: &Arc<ShardSet>, stop: &Arc<AtomicBool>) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shards = Arc::clone(shards);
-        let stop = Arc::clone(stop);
-        std::thread::spawn(move || handle_connection(stream, &shards, &stop));
-    }
+/// The router's side of the reactor: the shard directory plus one
+/// kept-alive connection per shard, tagged with the address it reached.
+struct Routing {
+    shards: Arc<ShardSet>,
+    pool: Vec<Option<(String, HttpConnection)>>,
+    stop: Arc<AtomicBool>,
 }
 
-/// Serves one client connection: a keep-alive request loop mirroring
-/// the single-server blocking front-end.
-fn handle_connection(stream: TcpStream, shards: &Arc<ShardSet>, stop: &Arc<AtomicBool>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut stream = stream;
-    loop {
-        let request = match Request::read_from(&mut reader, bea_core::job::MAX_JOB_BODY_BYTES) {
-            Ok(request) => request,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let _ = error_response(400, &e.to_string()).write_to(&mut stream);
-                return;
+/// Local composition for the aggregate endpoints, a proxied hop for
+/// per-job traffic.
+impl Service for Routing {
+    fn route(&mut self, request: &Request) -> (&'static str, Routed) {
+        let (label, endpoint) = Endpoint::of(request);
+        let routed = match endpoint {
+            Endpoint::Healthz => self.healthz().into(),
+            Endpoint::Metrics => self.merged_metrics().into(),
+            Endpoint::Transfer => self.merged_transfer().into(),
+            Endpoint::Submit => match request.body_text().and_then(AttackJob::from_json) {
+                Ok(job) => self.proxy(request, shard_for_cell(&job.cell_spec(), self.shards.len())),
+                Err(e) => error_response(400, &e),
             }
-            Err(_) => return,
+            .into(),
+            Endpoint::Shutdown => {
+                self.stop.store(true, Ordering::SeqCst);
+                for shard in 0..self.shards.len() {
+                    let _ = self.hop(shard, "POST", "/v1/shutdown", None);
+                }
+                stopping().into()
+            }
+            Endpoint::Status(id) | Endpoint::Csv(id) => self.route_by_id(request, id, false),
+            Endpoint::Progress(id) => self.route_by_id(request, id, true),
+            Endpoint::MethodNotAllowed => error_response(405, "method not allowed").into(),
+            Endpoint::NotFound => error_response(404, "no such endpoint").into(),
         };
-        let keep_alive = request.wants_keep_alive();
-        match dispatch(&request, shards, stop) {
-            Dispatched::Response(response) => {
-                if response.write_to_with(&mut stream, keep_alive).is_err() {
-                    return;
-                }
-            }
-            Dispatched::Tunnel(upstream) => {
-                // Progress streams relay raw bytes until the shard ends
-                // the chunked response; terminal on this connection.
-                tunnel(upstream, &mut stream);
-                return;
-            }
-        }
-        if !keep_alive {
-            return;
-        }
+        (label, routed)
+    }
+
+    fn record(&self, _: &'static str, _: &str, _: &str, _: u16, _: Duration) {}
+
+    fn stop_requested(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
     }
 }
 
-/// What the router decided to do with one request.
-enum Dispatched {
-    /// A complete response (locally composed or proxied).
-    Response(Response),
-    /// Relay this upstream connection's bytes to the client verbatim
-    /// (the request has already been written upstream).
-    Tunnel(TcpStream),
-}
+impl Routing {
+    /// Routes a per-job request to the shard owning its id.
+    fn route_by_id(&mut self, request: &Request, id_text: &str, streaming: bool) -> Routed {
+        let Some(id) = parse_job_id(id_text) else {
+            return error_response(404, &format!("malformed job id {id_text:?}")).into();
+        };
+        let shard = shard_for_id(id, self.shards.len());
+        if streaming {
+            match open_tunnel(request, &self.shards, shard) {
+                Ok(upstream) => Routed::Tunnel(upstream),
+                Err(response) => response.into(),
+            }
+        } else {
+            self.proxy(request, shard).into()
+        }
+    }
 
-/// Routes one request: local composition for the aggregate endpoints,
-/// a proxied hop for per-job traffic.
-fn dispatch(request: &Request, shards: &Arc<ShardSet>, stop: &Arc<AtomicBool>) -> Dispatched {
-    let path = request.path.split('?').next().unwrap_or("");
-    let n = shards.len();
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => Dispatched::Response(healthz(shards)),
-        ("GET", "/metrics") => Dispatched::Response(merged_metrics(shards)),
-        ("GET", "/transfer") => Dispatched::Response(merged_transfer(shards)),
-        ("POST", "/v1/shutdown") => {
-            stop.store(true, Ordering::SeqCst);
-            for (addr, _) in shards.snapshot() {
-                if let Some(addr) = addr {
-                    let _ = request_with(&addr, "POST", "/v1/shutdown", None, hop_timeouts());
+    /// Sends one request to `shard` over its pooled connection; `None`
+    /// when the shard is down or the hop failed.
+    ///
+    /// The connection is dropped when the shard's address changed (a
+    /// respawn), when a response says `Connection: close`, and after any
+    /// error. A transport error before any response byte (typically the
+    /// shard having closed the idle connection) reconnects once and
+    /// resends; a timeout does not, so a stalled shard costs one hop
+    /// deadline.
+    fn hop(
+        &mut self,
+        shard: usize,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> Option<HttpResponse> {
+        let addr = self.shards.addr(shard)?;
+        let slot = &mut self.pool[shard];
+        for attempt in 0..2 {
+            if slot.as_ref().is_some_and(|(reached, _)| *reached != addr) {
+                *slot = None;
+            }
+            if slot.is_none() {
+                *slot =
+                    Some((addr.clone(), HttpConnection::connect_to(&*addr, hop_timeouts()).ok()?));
+            }
+            let (_, conn) = slot.as_mut().expect("connected above");
+            match conn.request(method, path, body) {
+                Ok(response) => {
+                    if response.closes_connection() {
+                        *slot = None;
+                    }
+                    return Some(response);
+                }
+                Err(e) => {
+                    let resend =
+                        attempt == 0 && e.kind() != io::ErrorKind::TimedOut && !conn.mid_response();
+                    *slot = None;
+                    if !resend {
+                        break;
+                    }
                 }
             }
-            Dispatched::Response(Response::json(
-                200,
-                &JsonObject::new().string("status", "stopping").finish(),
-            ))
         }
-        ("POST", "/v1/attacks") => {
-            let job = match request.body_text().and_then(AttackJob::from_json) {
-                Ok(job) => job,
-                Err(e) => return Dispatched::Response(error_response(400, &e)),
-            };
-            let shard = shard_for_cell(&job.cell_spec(), n);
-            Dispatched::Response(proxy(request, shards, shard))
-        }
-        ("GET", _) if path.starts_with("/v1/attacks/") => {
-            let rest = &path["/v1/attacks/".len()..];
-            let id_text = rest.strip_suffix("/csv").or_else(|| rest.strip_suffix("/progress"));
-            route_by_id(request, shards, id_text.unwrap_or(rest), rest.ends_with("/progress"))
-        }
-        ("GET", _) if path.starts_with("/jobs/") && path.ends_with("/progress") => {
-            let id_text = &path["/jobs/".len()..path.len() - "/progress".len()];
-            route_by_id(request, shards, id_text, true)
-        }
-        (_, "/healthz" | "/metrics" | "/transfer" | "/v1/attacks" | "/v1/shutdown") => {
-            Dispatched::Response(error_response(405, "method not allowed"))
-        }
-        _ => Dispatched::Response(error_response(404, "no such endpoint")),
+        None
     }
-}
 
-/// Routes a per-job request to the shard owning its id.
-fn route_by_id(
-    request: &Request,
-    shards: &Arc<ShardSet>,
-    id_text: &str,
-    streaming: bool,
-) -> Dispatched {
-    let Some(id) = id_text.strip_prefix("job-").and_then(|t| t.parse::<u64>().ok()) else {
-        return Dispatched::Response(error_response(404, &format!("malformed job id {id_text:?}")));
-    };
-    let shard = shard_for_id(id, shards.len());
-    if streaming {
-        match open_tunnel(request, shards, shard) {
-            Ok(upstream) => Dispatched::Tunnel(upstream),
-            Err(response) => Dispatched::Response(response),
+    /// Proxies one request to `shard` and adapts the reply. Transport
+    /// failure reads as the shard being down mid-restart.
+    fn proxy(&mut self, request: &Request, shard: usize) -> Response {
+        let body = std::str::from_utf8(&request.body).ok();
+        match self.hop(shard, &request.method, &request.path, body) {
+            Some(upstream) => adapt(upstream),
+            None => shard_down(shard),
         }
-    } else {
-        Dispatched::Response(proxy(request, shards, shard))
+    }
+
+    /// Aggregated liveness: overall status (`ok` only when every shard
+    /// answers), per-shard state and pids.
+    fn healthz(&mut self) -> Response {
+        let mut entries = Vec::new();
+        let mut all_up = true;
+        for (shard, (addr, pid)) in self.shards.snapshot().into_iter().enumerate() {
+            let up = self.hop(shard, "GET", "/healthz", None).is_some_and(|r| r.status == 200);
+            all_up &= up;
+            let mut entry = JsonObject::new()
+                .integer("shard", shard as u64)
+                .string("status", if up { "ok" } else { "down" });
+            if let Some(pid) = pid {
+                entry = entry.integer("pid", u64::from(pid));
+            }
+            if let Some(addr) = &addr {
+                entry = entry.string("addr", addr);
+            }
+            entries.push(entry.finish());
+        }
+        let body = JsonObject::new()
+            .string("status", if all_up { "ok" } else { "degraded" })
+            .integer("shards", self.shards.len() as u64)
+            .raw("shard_status", &format!("[{}]", entries.join(",")))
+            .finish();
+        Response::json(200, &body)
+    }
+
+    /// The bodies of `GET path` from every shard that answers.
+    fn gather(&mut self, path: &str) -> Vec<String> {
+        (0..self.shards.len())
+            .filter_map(|shard| self.hop(shard, "GET", path, None))
+            .map(|response| response.body_text().unwrap_or("").to_string())
+            .collect()
+    }
+
+    /// Merges the shards' Prometheus text: samples with the same
+    /// `name{labels}` key sum; comment lines and sample order follow the
+    /// first answering shard, with keys only later shards expose appended.
+    fn merged_metrics(&mut self) -> Response {
+        let texts = self.gather("/metrics");
+        if texts.is_empty() {
+            return shard_down(0);
+        }
+        Response::new(200)
+            .with_body("text/plain; version=0.0.4", merge_prometheus(&texts).into_bytes())
+    }
+
+    /// Merges the shards' `/transfer` summaries by concatenating their
+    /// matrix arrays (each shard's store holds its own cells).
+    fn merged_transfer(&mut self) -> Response {
+        let texts = self.gather("/transfer");
+        if texts.is_empty() {
+            return shard_down(0);
+        }
+        let mut matrices: Vec<String> = Vec::new();
+        for text in &texts {
+            if let Ok(parsed) = bea_core::telemetry::parse_json(text) {
+                if let Some(list) = parsed.get("transfer").map(|v| v.render()) {
+                    // Strip the brackets and keep the comma-joined entries.
+                    let inner = list.trim().trim_start_matches('[').trim_end_matches(']').trim();
+                    if !inner.is_empty() {
+                        matrices.push(inner.to_string());
+                    }
+                }
+            }
+        }
+        let joined = matrices.join(",");
+        let count = if joined.is_empty() { 0 } else { joined.split("},{").count() as u64 };
+        let body = JsonObject::new()
+            .integer("matrices", count)
+            .raw("transfer", &format!("[{joined}]"))
+            .finish();
+        Response::json(200, &body)
     }
 }
 
@@ -311,17 +395,6 @@ fn route_by_id(
 fn shard_down(shard: usize) -> Response {
     error_response(503, &format!("shard {shard} is restarting, retry shortly"))
         .with_header("Retry-After", "1")
-}
-
-/// Proxies one request to `shard` and adapts the reply. Transport
-/// failure reads as the shard being down mid-restart.
-fn proxy(request: &Request, shards: &Arc<ShardSet>, shard: usize) -> Response {
-    let Some(addr) = shards.addr(shard) else { return shard_down(shard) };
-    let body = std::str::from_utf8(&request.body).ok();
-    match request_with(&addr, &request.method, &request.path, body, hop_timeouts()) {
-        Ok(upstream) => adapt(upstream),
-        Err(_) => shard_down(shard),
-    }
 }
 
 /// Rebuilds a proxied [`HttpResponse`] as a [`Response`] the router can
@@ -358,7 +431,7 @@ fn open_tunnel(
 }
 
 /// Relays bytes upstream → client until either side ends.
-fn tunnel(mut upstream: TcpStream, client: &mut TcpStream) {
+pub(crate) fn tunnel(mut upstream: TcpStream, client: &mut TcpStream) {
     let mut buf = [0u8; 16 * 1024];
     loop {
         match upstream.read(&mut buf) {
@@ -374,56 +447,7 @@ fn tunnel(mut upstream: TcpStream, client: &mut TcpStream) {
     }
 }
 
-/// Aggregated liveness: overall status (`ok` only when every shard
-/// answers), per-shard state and pids.
-fn healthz(shards: &Arc<ShardSet>) -> Response {
-    let mut entries = Vec::new();
-    let mut all_up = true;
-    for (shard, (addr, pid)) in shards.snapshot().into_iter().enumerate() {
-        let probe = addr
-            .as_deref()
-            .and_then(|a| request_with(a, "GET", "/healthz", None, hop_timeouts()).ok());
-        let up = probe.as_ref().is_some_and(|r| r.status == 200);
-        all_up &= up;
-        let mut entry = JsonObject::new()
-            .integer("shard", shard as u64)
-            .string("status", if up { "ok" } else { "down" });
-        if let Some(pid) = pid {
-            entry = entry.integer("pid", u64::from(pid));
-        }
-        if let Some(addr) = &addr {
-            entry = entry.string("addr", addr);
-        }
-        entries.push(entry.finish());
-    }
-    let body = JsonObject::new()
-        .string("status", if all_up { "ok" } else { "degraded" })
-        .integer("shards", shards.len() as u64)
-        .raw("shard_status", &format!("[{}]", entries.join(",")))
-        .finish();
-    Response::json(200, &body)
-}
-
-/// Merges the shards' Prometheus text: samples with the same
-/// `name{labels}` key sum; comment lines and sample order follow the
-/// first answering shard, with keys only later shards expose appended.
-fn merged_metrics(shards: &Arc<ShardSet>) -> Response {
-    let mut texts = Vec::new();
-    for (addr, _) in shards.snapshot() {
-        let Some(addr) = addr else { continue };
-        if let Ok(response) = request_with(&addr, "GET", "/metrics", None, hop_timeouts()) {
-            if let Ok(text) = response.body_text() {
-                texts.push(text.to_string());
-            }
-        }
-    }
-    if texts.is_empty() {
-        return shard_down(0);
-    }
-    Response::new(200).with_body("text/plain; version=0.0.4", merge_prometheus(&texts).into_bytes())
-}
-
-/// The text-merge behind [`merged_metrics`], separable for tests.
+/// The text-merge behind `GET /metrics`, separable for tests.
 pub fn merge_prometheus(texts: &[String]) -> String {
     let mut totals: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
     let mut order: Vec<String> = Vec::new();
@@ -465,40 +489,6 @@ pub fn merge_prometheus(texts: &[String]) -> String {
         }
     }
     out
-}
-
-/// Merges the shards' `/transfer` summaries by concatenating their
-/// matrix arrays (each shard's store holds its own cells).
-fn merged_transfer(shards: &Arc<ShardSet>) -> Response {
-    let mut matrices: Vec<String> = Vec::new();
-    let mut reached = false;
-    for (addr, _) in shards.snapshot() {
-        let Some(addr) = addr else { continue };
-        let Ok(response) = request_with(&addr, "GET", "/transfer", None, hop_timeouts()) else {
-            continue;
-        };
-        reached = true;
-        let Ok(text) = response.body_text() else { continue };
-        if let Ok(parsed) = bea_core::telemetry::parse_json(text) {
-            if let Some(list) = parsed.get("transfer").map(|v| v.render()) {
-                // Strip the brackets and keep the comma-joined entries.
-                let inner = list.trim().trim_start_matches('[').trim_end_matches(']').trim();
-                if !inner.is_empty() {
-                    matrices.push(inner.to_string());
-                }
-            }
-        }
-    }
-    if !reached {
-        return shard_down(0);
-    }
-    let joined = matrices.join(",");
-    let count = if joined.is_empty() { 0 } else { joined.split("},{").count() as u64 };
-    let body = JsonObject::new()
-        .integer("matrices", count)
-        .raw("transfer", &format!("[{joined}]"))
-        .finish();
-    Response::json(200, &body)
 }
 
 #[cfg(test)]

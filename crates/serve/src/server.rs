@@ -1,5 +1,6 @@
-//! The attack server: accept loop, bounded job queue, worker pool,
-//! persistence and graceful shutdown.
+//! The attack server: routing, bounded job queue, worker pool,
+//! persistence and graceful shutdown. Connections are served by the
+//! [`reactor`](crate::reactor).
 //!
 //! Three contracts hold everything together:
 //!
@@ -17,9 +18,10 @@
 //!    control is explicit (`429` + `Retry-After`) instead of unbounded
 //!    memory growth.
 
-use crate::http::{chunked_head, encode_chunk, final_chunk, Request, Response};
+use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::progress::ProgressFeed;
+use crate::reactor::{Routed, Service};
 use crate::tenant::{TenantGovernor, TenantPolicy};
 use bea_core::campaign::{Campaign, CampaignConfig, CampaignStore};
 use bea_core::telemetry::{self, JsonObject};
@@ -59,18 +61,12 @@ pub struct ServerConfig {
     /// policy. Defaults to 1: the worker pool already runs jobs in
     /// parallel, and results are identical at any thread count.
     pub kernel_threads: usize,
-    /// Serve connections through the epoll reactor (one multiplexing
-    /// thread) instead of a thread per connection. Job execution is
-    /// identical either way; off epoll-less platforms the server falls
-    /// back to the blocking front-end.
-    pub reactor: bool,
     /// Per-tenant admission policy (rate limit and in-system quota).
     pub tenant_policy: TenantPolicy,
     /// How many `done` records the startup compaction of `jobs.jsonl`
     /// retains (newest first); pending records are always kept.
     pub done_retention: usize,
-    /// Connections silent for this long are dropped (both front-ends;
-    /// the reactor's idle sweep and the blocking path's read timeout).
+    /// Connections silent for this long are dropped.
     pub idle_timeout: Duration,
     /// Requests served per connection before the server closes it
     /// (keep-alive bound; the final response advertises
@@ -97,7 +93,6 @@ impl ServerConfig {
             drain_deadline: Duration::from_secs(60),
             request_log: true,
             kernel_threads: 1,
-            reactor: false,
             tenant_policy: TenantPolicy::default(),
             done_retention: 64,
             idle_timeout: Duration::from_secs(30),
@@ -136,18 +131,17 @@ struct JobEntry {
     progress: Arc<ProgressFeed>,
 }
 
-/// State shared between the connection front-ends (blocking accept
-/// loop or epoll reactor), connection handlers and workers.
-pub(crate) struct Shared {
+/// State shared between the reactor and the workers.
+struct Shared {
     queue: FairQueue<QueuedJob>,
     governor: TenantGovernor,
     registry: Mutex<BTreeMap<u64, JobEntry>>,
     next_id: AtomicU64,
     accepting: AtomicBool,
-    pub(crate) stop_requested: AtomicBool,
+    stop_requested: AtomicBool,
     in_flight: Mutex<usize>,
     idle: Condvar,
-    pub(crate) metrics: Metrics,
+    metrics: Metrics,
     cache_totals: Mutex<CacheStats>,
     store: CampaignStore,
     zoo: ModelZoo,
@@ -157,16 +151,14 @@ pub(crate) struct Shared {
     request_log_path: Option<PathBuf>,
     request_log: Mutex<()>,
     kernel_threads: usize,
-    pub(crate) idle_timeout: Duration,
-    pub(crate) conn_requests_max: usize,
     id_stride: u64,
 }
 
 impl Shared {
     fn append_line(&self, path: &PathBuf, line: &str) -> io::Result<()> {
         let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")
+        // One write: a crash cannot leave the record without its newline.
+        file.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Appends one accepted job to the job log (the restart-survival
@@ -182,7 +174,7 @@ impl Shared {
     }
 
     /// Appends one request record to `requests.jsonl`.
-    pub(crate) fn log_request(&self, method: &str, path: &str, status: u16, elapsed: Duration) {
+    fn log_request(&self, method: &str, path: &str, status: u16, elapsed: Duration) {
         let Some(log_path) = &self.request_log_path else { return };
         let unix_ms = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
@@ -206,15 +198,53 @@ impl Shared {
         }
     }
 
-    /// The progress feed of a registered job (always present for jobs
-    /// popped off the queue — registration precedes the push).
-    fn feed_of(&self, id: u64) -> Arc<ProgressFeed> {
-        self.registry
-            .lock()
-            .expect("registry lock")
-            .get(&id)
-            .map(|entry| Arc::clone(&entry.progress))
-            .unwrap_or_default()
+    /// Marks a popped job running and returns its progress feed; `None`
+    /// when the job has no registry entry, because its submission failed
+    /// after the push (the job log append) and was answered `500`.
+    fn begin(&self, id: u64) -> Option<Arc<ProgressFeed>> {
+        let mut registry = self.registry.lock().expect("registry lock");
+        let entry = registry.get_mut(&id)?;
+        entry.status = JobStatus::Running;
+        Some(Arc::clone(&entry.progress))
+    }
+}
+
+impl Service for Arc<Shared> {
+    fn route(&mut self, request: &Request) -> (&'static str, Routed) {
+        let (label, endpoint) = Endpoint::of(request);
+        let routed = match endpoint {
+            Endpoint::Healthz => healthz(self).into(),
+            Endpoint::Metrics => metrics(self).into(),
+            Endpoint::Transfer => transfer_summary(self).into(),
+            Endpoint::Submit => submit(request, self).into(),
+            Endpoint::Shutdown => {
+                self.accepting.store(false, Ordering::SeqCst);
+                self.stop_requested.store(true, Ordering::SeqCst);
+                stopping().into()
+            }
+            Endpoint::Status(id) => job_status(id, self).into(),
+            Endpoint::Csv(id) => job_csv(id, self).into(),
+            Endpoint::Progress(id) => job_progress(id, self),
+            Endpoint::MethodNotAllowed => error_response(405, "method not allowed").into(),
+            Endpoint::NotFound => error_response(404, "no such endpoint").into(),
+        };
+        (label, routed)
+    }
+
+    fn record(
+        &self,
+        endpoint: &'static str,
+        method: &str,
+        path: &str,
+        status: u16,
+        elapsed: Duration,
+    ) {
+        self.metrics.record_request(endpoint, status, elapsed);
+        self.log_request(method, path, status, elapsed);
+    }
+
+    fn stop_requested(&self) -> bool {
+        self.stop_requested.load(Ordering::SeqCst)
     }
 }
 
@@ -224,7 +254,7 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     drain_deadline: Duration,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
+    reactor_handle: Option<std::thread::JoinHandle<()>>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -248,9 +278,11 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind and store I/O failures, and reports a corrupt
-    /// job log as [`io::ErrorKind::InvalidData`].
+    /// [`io::ErrorKind::Unsupported`] off Linux (the reactor needs
+    /// epoll); propagates bind and store I/O failures, and reports a
+    /// corrupt job log as [`io::ErrorKind::InvalidData`].
     pub fn start(config: ServerConfig) -> io::Result<Server> {
+        let poller = bea_reactor::Poller::new()?;
         let store = CampaignStore::open(&config.store_dir)?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -273,8 +305,6 @@ impl Server {
             job_log: Mutex::new(()),
             request_log: Mutex::new(()),
             kernel_threads: config.kernel_threads,
-            idle_timeout: config.idle_timeout,
-            conn_requests_max: config.conn_requests_max.max(1),
             id_stride: config.id_stride.max(1),
         });
 
@@ -288,12 +318,18 @@ impl Server {
             .collect();
         recover_jobs(&shared, config.done_retention)?;
 
-        let accept_handle = spawn_front_end(config.reactor, listener, Arc::clone(&shared))?;
+        let reactor_handle = crate::reactor::spawn(
+            listener,
+            poller,
+            Arc::clone(&shared),
+            config.idle_timeout,
+            config.conn_requests_max,
+        )?;
         Ok(Server {
             shared,
             addr,
             drain_deadline: config.drain_deadline,
-            accept_handle: Some(accept_handle),
+            reactor_handle: Some(reactor_handle),
             worker_handles,
         })
     }
@@ -321,7 +357,7 @@ impl Server {
         self.shared.accepting.store(false, Ordering::SeqCst);
         self.shared.stop_requested.store(true, Ordering::SeqCst);
         self.shared.queue.close();
-        // Wake the accept loop so it observes the stop flag.
+        // Wake the reactor so it observes the stop flag.
         let _ = TcpStream::connect(self.addr);
 
         let started = Instant::now();
@@ -336,7 +372,7 @@ impl Server {
         let still_running = *in_flight;
         drop(in_flight);
 
-        if let Some(handle) = self.accept_handle.take() {
+        if let Some(handle) = self.reactor_handle.take() {
             let _ = handle.join();
         }
         if still_running == 0 {
@@ -359,34 +395,6 @@ impl Server {
     }
 }
 
-/// Spawns the connection front-end: the epoll reactor when requested
-/// and available, the blocking thread-per-connection accept loop
-/// otherwise.
-#[cfg(unix)]
-fn spawn_front_end(
-    reactor: bool,
-    listener: TcpListener,
-    shared: Arc<Shared>,
-) -> io::Result<std::thread::JoinHandle<()>> {
-    if reactor {
-        if let Ok(poller) = bea_reactor::Poller::new() {
-            listener.set_nonblocking(true)?;
-            return Ok(std::thread::spawn(move || crate::reactor::run(listener, shared, poller)));
-        }
-    }
-    Ok(std::thread::spawn(move || accept_loop(&listener, &shared)))
-}
-
-/// Off Unix there is no epoll; the blocking front-end serves.
-#[cfg(not(unix))]
-fn spawn_front_end(
-    _reactor: bool,
-    listener: TcpListener,
-    shared: Arc<Shared>,
-) -> io::Result<std::thread::JoinHandle<()>> {
-    Ok(std::thread::spawn(move || accept_loop(&listener, &shared)))
-}
-
 /// Replays `jobs.jsonl` into the registry and queue, compacting the
 /// log on the way.
 ///
@@ -396,30 +404,52 @@ fn spawn_front_end(
 /// newest `done_retention`, which are kept so recently finished jobs
 /// still report `done` after a restart. Pending records are always
 /// kept; replay behaviour for them is unchanged.
+///
+/// A final line without its newline that does not decode is the torn
+/// append of a crash: it is dropped with a warning and the file is cut
+/// back to the last complete line, so the next append starts a fresh
+/// line. Any other undecodable line refuses the whole log.
 fn recover_jobs(shared: &Arc<Shared>, done_retention: usize) -> io::Result<()> {
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let text = match std::fs::read_to_string(&shared.job_log_path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(&shared.job_log_path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e),
     };
-    let mut records: Vec<(u64, AttackJob, bool)> = Vec::new();
-    let mut max_id = 0u64;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let record = bea_core::telemetry::parse_json(line)
-            .map_err(|e| invalid(format!("corrupt job log line: {e}")))?;
-        let id = record
-            .get("id")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| invalid("job log record missing id".to_string()))?;
-        let job_field =
-            record.get("job").ok_or_else(|| invalid("job log record missing job".to_string()))?;
-        let job = AttackJob::from_json(&job_field.render())
-            .map_err(|e| invalid(format!("corrupt logged job {id}: {e}")))?;
-        max_id = max_id.max(id);
-        let done = shared.store.cell_path(&job.cell_spec()).exists();
-        records.push((id, job, done));
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+    let text = std::str::from_utf8(&bytes[..complete])
+        .map_err(|e| invalid_data(format!("corrupt job log: {e}")))?;
+    let mut decoded = text
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(decode_job_record)
+        .collect::<io::Result<Vec<_>>>()?;
+    match std::str::from_utf8(&bytes[complete..]).map(decode_job_record) {
+        Ok(Ok(record)) => {
+            // A whole record that only lost its newline: terminate it.
+            shared.append_line(&shared.job_log_path, "")?;
+            decoded.push(record);
+        }
+        _ if bytes[complete..].iter().all(u8::is_ascii_whitespace) => {}
+        _ => {
+            eprintln!(
+                "warning: dropping the torn final record of {} ({} bytes)",
+                shared.job_log_path.display(),
+                bytes.len() - complete
+            );
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&shared.job_log_path)?
+                .set_len(complete as u64)?;
+        }
     }
+    let max_id = decoded.iter().map(|(id, _)| *id).max().unwrap_or(0);
+    let records: Vec<(u64, AttackJob, bool)> = decoded
+        .into_iter()
+        .map(|(id, job)| {
+            let done = shared.store.cell_path(&job.cell_spec()).exists();
+            (id, job, done)
+        })
+        .collect();
     compact_job_log(shared, &records, done_retention)?;
 
     for (id, job, done) in records {
@@ -461,6 +491,25 @@ fn recover_jobs(shared: &Arc<Shared>, done_retention: usize) -> io::Result<()> {
     let next = shared.next_id.load(Ordering::SeqCst).max(max_id + shared.id_stride);
     shared.next_id.store(next, Ordering::SeqCst);
     Ok(())
+}
+
+fn invalid_data(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// Decodes one `jobs.jsonl` record into its id and job.
+fn decode_job_record(line: &str) -> io::Result<(u64, AttackJob)> {
+    let record = bea_core::telemetry::parse_json(line)
+        .map_err(|e| invalid_data(format!("corrupt job log line: {e}")))?;
+    let id = record
+        .get("id")
+        .and_then(|v| v.as_u64())
+        .ok_or_else(|| invalid_data("job log record missing id".to_string()))?;
+    let job_field =
+        record.get("job").ok_or_else(|| invalid_data("job log record missing job".to_string()))?;
+    let job = AttackJob::from_json(&job_field.render())
+        .map_err(|e| invalid_data(format!("corrupt logged job {id}: {e}")))?;
+    Ok((id, job))
 }
 
 /// The terminal record closing a progress stream.
@@ -508,164 +557,65 @@ fn compact_job_log(
     std::fs::rename(&tmp_path, &shared.job_log_path)
 }
 
-/// Accepts connections until shutdown, one handler thread each.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.stop_requested.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || handle_connection(stream, &shared));
-    }
-}
-
-/// Serves one connection: a keep-alive request loop bounded by the
-/// configured per-connection request cap and idle timeout. The loop
-/// ends when the client asks for `Connection: close` (or speaks
-/// HTTP/1.0 without opting in), the cap is reached, a progress stream
-/// runs (streaming responses are terminal), or the socket goes idle.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(shared.idle_timeout));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut stream = stream;
-    let mut served = 0usize;
-    loop {
-        let started = Instant::now();
-        let request = match Request::read_from(&mut reader, bea_core::job::MAX_JOB_BODY_BYTES) {
-            Ok(request) => request,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let response = error_response(400, &e.to_string());
-                let _ = response.write_to(&mut stream);
-                shared.metrics.record_request("malformed", 400, started.elapsed());
-                shared.log_request("?", "?", 400, started.elapsed());
-                return;
-            }
-            // Idle timeout, peer close between requests, transport
-            // failure: nothing sensible left to answer.
-            Err(_) => return,
-        };
-        served += 1;
-        let keep_alive = request.wants_keep_alive() && served < shared.conn_requests_max;
-        let (endpoint, routed) = route(&request, shared);
-        let status = match routed {
-            Routed::Plain(response) => {
-                if response.write_to_with(&mut stream, keep_alive).is_err() {
-                    return;
-                }
-                response.status
-            }
-            Routed::Progress(feed) => {
-                shared.metrics.record_request(endpoint, 200, started.elapsed());
-                shared.log_request(&request.method, &request.path, 200, started.elapsed());
-                stream_progress_blocking(&mut stream, &feed, shared);
-                return;
-            }
-        };
-        let elapsed = started.elapsed();
-        shared.metrics.record_request(endpoint, status, elapsed);
-        shared.log_request(&request.method, &request.path, status, elapsed);
-        if !keep_alive {
-            return;
-        }
-    }
-}
-
-/// Drives one blocking progress stream: chunked head, history replay,
-/// live follow until the feed finishes, terminating chunk.
-fn stream_progress_blocking(stream: &mut TcpStream, feed: &ProgressFeed, shared: &Arc<Shared>) {
-    if stream.write_all(&chunked_head(200, "application/jsonl")).is_err() {
-        return;
-    }
-    let mut cursor = 0usize;
-    loop {
-        let (lines, finished) = feed.wait(cursor, Duration::from_millis(250));
-        cursor += lines.len();
-        for line in &lines {
-            let mut payload = line.clone().into_bytes();
-            payload.push(b'\n');
-            if stream.write_all(&encode_chunk(&payload)).is_err() {
-                return;
-            }
-        }
-        if finished && lines.is_empty() {
-            let _ = stream.write_all(final_chunk());
-            let _ = stream.flush();
-            return;
-        }
-        let _ = stream.flush();
-        if shared.stop_requested.load(Ordering::SeqCst) && !finished {
-            // Shutting down: end the stream cleanly rather than holding
-            // the drain hostage to a client that keeps listening.
-            let _ = stream.write_all(final_chunk());
-            let _ = stream.flush();
-            return;
-        }
-    }
-}
-
 /// A JSON error body.
 pub(crate) fn error_response(status: u16, message: &str) -> Response {
     Response::json(status, &JsonObject::new().string("error", message).finish())
 }
 
-/// What a routed request turned into: an ordinary buffered response, or
-/// a progress stream the front-end drives as a chunked response (the
-/// connection closes once the stream ends).
-pub(crate) enum Routed {
-    /// A complete response to serialise and (possibly) keep going.
-    Plain(Response),
-    /// Stream this feed as chunked JSONL; terminal on the connection.
-    Progress(Arc<ProgressFeed>),
+/// The answer to `POST /v1/shutdown`.
+pub(crate) fn stopping() -> Response {
+    Response::json(200, &JsonObject::new().string("status", "stopping").finish())
 }
 
-impl From<Response> for Routed {
-    fn from(response: Response) -> Self {
-        Routed::Plain(response)
-    }
+/// The endpoint a request addresses. The server and the router serve
+/// the same route table; each resolves an endpoint its own way.
+pub(crate) enum Endpoint<'a> {
+    Healthz,
+    Metrics,
+    Transfer,
+    Submit,
+    Shutdown,
+    /// `GET /v1/attacks/{id}`, with the id text.
+    Status(&'a str),
+    /// `GET /v1/attacks/{id}/csv`.
+    Csv(&'a str),
+    /// `GET /v1/attacks/{id}/progress`, or its `/jobs/{id}/progress`
+    /// alias.
+    Progress(&'a str),
+    MethodNotAllowed,
+    NotFound,
 }
 
-/// Dispatches one request to its endpoint.
-pub(crate) fn route(request: &Request, shared: &Arc<Shared>) -> (&'static str, Routed) {
-    let path = request.path.split('?').next().unwrap_or("");
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => ("GET /healthz", healthz(shared).into()),
-        ("GET", "/metrics") => ("GET /metrics", metrics(shared).into()),
-        ("GET", "/transfer") => ("GET /transfer", transfer_summary(shared).into()),
-        ("POST", "/v1/attacks") => ("POST /v1/attacks", submit(request, shared).into()),
-        ("POST", "/v1/shutdown") => {
-            shared.accepting.store(false, Ordering::SeqCst);
-            shared.stop_requested.store(true, Ordering::SeqCst);
-            (
-                "POST /v1/shutdown",
-                Response::json(200, &JsonObject::new().string("status", "stopping").finish())
-                    .into(),
-            )
-        }
-        ("GET", _) if path.starts_with("/v1/attacks/") => {
-            let rest = &path["/v1/attacks/".len()..];
-            if let Some(id) = rest.strip_suffix("/csv") {
-                ("GET /v1/attacks/{id}/csv", job_csv(id, shared).into())
-            } else if let Some(id) = rest.strip_suffix("/progress") {
-                ("GET /v1/attacks/{id}/progress", job_progress(id, shared))
-            } else {
-                ("GET /v1/attacks/{id}", job_status(rest, shared).into())
+impl<'a> Endpoint<'a> {
+    /// Resolves a request, with the endpoint's metrics label.
+    pub(crate) fn of(request: &'a Request) -> (&'static str, Endpoint<'a>) {
+        let path = request.path.split('?').next().unwrap_or("");
+        if request.method == "GET" {
+            if let Some(rest) = path.strip_prefix("/v1/attacks/") {
+                return if let Some(id) = rest.strip_suffix("/csv") {
+                    ("GET /v1/attacks/{id}/csv", Endpoint::Csv(id))
+                } else if let Some(id) = rest.strip_suffix("/progress") {
+                    ("GET /v1/attacks/{id}/progress", Endpoint::Progress(id))
+                } else {
+                    ("GET /v1/attacks/{id}", Endpoint::Status(rest))
+                };
+            }
+            let alias = path.strip_prefix("/jobs/").and_then(|rest| rest.strip_suffix("/progress"));
+            if let Some(id) = alias {
+                return ("GET /jobs/{id}/progress", Endpoint::Progress(id));
             }
         }
-        // `/jobs/<id>/progress` is an alias of the canonical
-        // `/v1/attacks/{id}/progress` path.
-        ("GET", _) if path.starts_with("/jobs/") && path.ends_with("/progress") => {
-            let id = &path["/jobs/".len()..path.len() - "/progress".len()];
-            ("GET /jobs/{id}/progress", job_progress(id, shared))
+        match (request.method.as_str(), path) {
+            ("GET", "/healthz") => ("GET /healthz", Endpoint::Healthz),
+            ("GET", "/metrics") => ("GET /metrics", Endpoint::Metrics),
+            ("GET", "/transfer") => ("GET /transfer", Endpoint::Transfer),
+            ("POST", "/v1/attacks") => ("POST /v1/attacks", Endpoint::Submit),
+            ("POST", "/v1/shutdown") => ("POST /v1/shutdown", Endpoint::Shutdown),
+            (_, "/healthz" | "/metrics" | "/transfer" | "/v1/attacks" | "/v1/shutdown") => {
+                ("method-not-allowed", Endpoint::MethodNotAllowed)
+            }
+            _ => ("not-found", Endpoint::NotFound),
         }
-        (_, "/healthz" | "/metrics" | "/transfer" | "/v1/attacks" | "/v1/shutdown") => {
-            ("method-not-allowed", error_response(405, "method not allowed").into())
-        }
-        _ => ("not-found", error_response(404, "no such endpoint").into()),
     }
 }
 
@@ -797,23 +747,19 @@ fn submit(request: &Request, shared: &Shared) -> Response {
             .with_header("Retry-After", &refusal.retry_after_secs().to_string());
     }
     let id = shared.next_id.fetch_add(shared.id_stride, Ordering::SeqCst);
-    // Register before pushing: a worker may pop the job immediately.
-    shared.registry.lock().expect("registry lock").insert(
-        id,
-        JobEntry {
-            job: job.clone(),
-            status: JobStatus::Queued,
-            progress: Arc::new(ProgressFeed::new()),
-        },
-    );
+    // The registry lock spans push, log and registration: a worker that
+    // pops the job at once waits in `begin` until the job is either
+    // registered or, when the log append fails, known never to be.
+    let mut registry = shared.registry.lock().expect("registry lock");
     match shared.queue.try_push(&job.tenant, QueuedJob { id, job: job.clone() }) {
         Ok(()) => {
             // Log after a successful push so rejected jobs never replay.
             if let Err(e) = shared.log_job(id, &job) {
-                shared.registry.lock().expect("registry lock").remove(&id);
                 shared.governor.release(&job.tenant);
                 return error_response(500, &format!("job log write failed: {e}"));
             }
+            let progress = Arc::new(ProgressFeed::new());
+            registry.insert(id, JobEntry { job, status: JobStatus::Queued, progress });
             shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
             let body = JsonObject::new()
                 .string("id", &format!("job-{id}"))
@@ -823,13 +769,11 @@ fn submit(request: &Request, shared: &Shared) -> Response {
             Response::json(202, &body)
         }
         Err(PushError::Full(_)) => {
-            shared.registry.lock().expect("registry lock").remove(&id);
             shared.governor.release(&job.tenant);
             shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
             error_response(429, "queue full, retry later").with_header("Retry-After", "1")
         }
         Err(PushError::Closed(_)) => {
-            shared.registry.lock().expect("registry lock").remove(&id);
             shared.governor.release(&job.tenant);
             error_response(503, "server is shutting down")
         }
@@ -837,7 +781,7 @@ fn submit(request: &Request, shared: &Shared) -> Response {
 }
 
 /// Parses `job-N` into `N`.
-fn parse_job_id(text: &str) -> Option<u64> {
+pub(crate) fn parse_job_id(text: &str) -> Option<u64> {
     text.strip_prefix("job-")?.parse().ok()
 }
 
@@ -883,9 +827,10 @@ fn job_csv(id_text: &str, shared: &Shared) -> Response {
 /// attack fails its own job), persist, account.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(queued) = shared.queue.pop() {
-        shared.set_status(queued.id, JobStatus::Running);
+        // An unregistered job was answered 500 and its tenant released
+        // by `submit`: it leaves the queue without running.
+        let Some(feed) = shared.begin(queued.id) else { continue };
         *shared.in_flight.lock().expect("in-flight lock") += 1;
-        let feed = shared.feed_of(queued.id);
         let job = &queued.job;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let zoo = shared.zoo.clone().with_kernel_policy(job.kernel_policy);
@@ -897,7 +842,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             run_job(shared, job, detector, &feed)
         }))
         .unwrap_or_else(|panic| Err(panic_message(panic)));
-        finish_job(shared, &queued, outcome);
+        finish_job(shared, &queued, &feed, outcome);
         *shared.in_flight.lock().expect("in-flight lock") -= 1;
         shared.idle.notify_all();
     }
@@ -915,7 +860,12 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 
 /// Books one finished job: cache counters, metrics, status, tenant
 /// release, terminal progress record.
-fn finish_job(shared: &Shared, queued: &QueuedJob, outcome: Result<Option<CacheStats>, String>) {
+fn finish_job(
+    shared: &Shared,
+    queued: &QueuedJob,
+    feed: &ProgressFeed,
+    outcome: Result<Option<CacheStats>, String>,
+) {
     let status = match outcome {
         Ok(cache) => {
             if let Some(cache) = cache {
@@ -929,7 +879,6 @@ fn finish_job(shared: &Shared, queued: &QueuedJob, outcome: Result<Option<CacheS
             JobStatus::Failed(message)
         }
     };
-    let feed = shared.feed_of(queued.id);
     feed.finish(Some(progress_end_line(&status)));
     shared.set_status(queued.id, status);
     shared.governor.release(&queued.job.tenant);

@@ -32,7 +32,6 @@ fn reactor_config(store_dir: PathBuf) -> ServerConfig {
         queue_capacity: 32,
         dataset: SyntheticKitti::smoke_set(),
         drain_deadline: Duration::from_secs(120),
-        reactor: true,
         ..ServerConfig::new(store_dir)
     }
 }

@@ -27,7 +27,6 @@ fn reactor_config(store_dir: PathBuf, workers: usize) -> ServerConfig {
         queue_capacity: 32,
         dataset: SyntheticKitti::smoke_set(),
         drain_deadline: Duration::from_secs(120),
-        reactor: true,
         ..ServerConfig::new(store_dir)
     }
 }

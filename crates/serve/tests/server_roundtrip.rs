@@ -1,6 +1,6 @@
 //! Loopback integration tests for the serving layer: determinism
-//! against direct campaign runs, backpressure, and shutdown/restart
-//! recovery.
+//! against direct campaign runs, backpressure, shutdown/restart
+//! recovery and job-log faults.
 
 use bea_core::campaign::{Campaign, CampaignConfig, CampaignStore, CellSpec};
 use bea_core::AttackJob;
@@ -110,10 +110,10 @@ fn served_csv_is_byte_identical_to_direct_campaign_run() {
     assert_eq!(client.submit("not json").unwrap().status, 400);
     let oob = "{\"arch\":\"yolo\",\"image_index\":9999}";
     assert_eq!(client.submit(oob).unwrap().status, 400, "unmaterialisable image rejected early");
-    assert_eq!(
-        bea_serve::client::request(client.addr(), "GET", "/nope", None).unwrap().status,
-        404
-    );
+    for path in ["/nope", "/jobs/progress", "/jobs//progress", "/v1/attacks/"] {
+        let response = bea_serve::client::request(client.addr(), "GET", path, None).unwrap();
+        assert_eq!(response.status, 404, "{path}");
+    }
     assert_eq!(
         bea_serve::client::request(client.addr(), "DELETE", "/healthz", None).unwrap().status,
         405
@@ -334,5 +334,131 @@ fn transfer_endpoint_summarises_matrices_under_the_store() {
     assert_eq!(wrong.status, 405);
 
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+/// Polls `/healthz` until nothing is queued or running.
+fn wait_idle(client: &Client) {
+    let deadline = std::time::Instant::now() + DEADLINE;
+    loop {
+        let health = client.healthz().expect("healthz");
+        let value = bea_core::telemetry::parse_json(health.body_text().unwrap()).expect("json");
+        let gauge = |name: &str| value.get(name).and_then(|v| v.as_u64());
+        if gauge("queue_depth") == Some(0) && gauge("in_flight") == Some(0) {
+            return;
+        }
+        assert!(std::time::Instant::now() < deadline, "server never went idle: {value:?}");
+        std::thread::sleep(POLL);
+    }
+}
+
+#[test]
+fn a_job_whose_log_append_fails_never_runs() {
+    let store_dir = scratch("log_append_fails");
+    let server = Server::start(test_config(store_dir.clone(), 1, 8)).expect("server starts");
+    let client = Client::new(server.addr().to_string());
+    // A directory in the job log's place makes every append fail.
+    std::fs::create_dir_all(store_dir.join("jobs.jsonl")).expect("job log directory");
+
+    let refused = client.submit(&toy_job_json()).expect("submit");
+    assert_eq!(refused.status, 500, "{:?}", refused.body_text());
+    wait_idle(&client);
+    let metrics = client.metrics().expect("metrics");
+    let text = metrics.body_text().unwrap();
+    assert!(text.contains("bea_serve_jobs_accepted_total 0"), "{text}");
+    assert!(text.contains("bea_serve_jobs_completed_total 0"), "{text}");
+
+    // Shutdown joins the worker, so a job it had popped would have
+    // persisted its cell by now.
+    let spec = AttackJob::from_json(&toy_job_json()).expect("job parses").cell_spec();
+    let cell = server.store().cell_path(&spec);
+    server.shutdown();
+    assert!(!cell.exists(), "a job answered 500 ran and persisted {}", cell.display());
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+/// A tiny YOLO job on its own cell (`model_seed` picks the cell).
+fn cell_job(model_seed: u64) -> String {
+    format!(
+        "{{\"arch\":\"yolo\",\"model_seed\":{model_seed},\"image_index\":0,\
+         \"pop\":4,\"gens\":1,\"seed\":5}}"
+    )
+}
+
+/// Asserts every job reports `done` on `server`.
+fn assert_done(server: &Server, ids: &[&str]) {
+    let client = Client::new(server.addr().to_string());
+    for id in ids {
+        let finished = client.wait(id, POLL, DEADLINE).expect("job finishes");
+        let body = finished.body_text().unwrap();
+        assert!(body.contains("\"status\":\"done\""), "job {id}: {body}");
+    }
+}
+
+#[test]
+fn a_torn_final_job_log_record_is_dropped_and_the_log_keeps_appending() {
+    let store_dir = scratch("torn_tail");
+    let log_path = store_dir.join("jobs.jsonl");
+    let server = Server::start(test_config(store_dir.clone(), 1, 4)).expect("server starts");
+    let client = Client::new(server.addr().to_string());
+    let first = job_id(client.submit(&cell_job(1)).expect("submit").body_text().unwrap());
+    assert_done(&server, &[&first]);
+    server.shutdown();
+
+    // A crash mid-append leaves a partial record without its newline.
+    let intact = std::fs::read(&log_path).expect("job log");
+    let mut torn = intact.clone();
+    torn.extend_from_slice(b"{\"type\":\"job\",\"id\":2,\"job\":{\"arch\":\"de");
+    std::fs::write(&log_path, &torn).expect("tear the log");
+
+    let server = Server::start(test_config(store_dir.clone(), 1, 4))
+        .expect("a torn final record does not stop the server");
+    assert_eq!(std::fs::read(&log_path).unwrap(), intact, "cut back to the last complete line");
+    assert_done(&server, &[&first]);
+    let client = Client::new(server.addr().to_string());
+    let second = job_id(client.submit(&cell_job(2)).expect("submit").body_text().unwrap());
+    assert_done(&server, &[&second]);
+    server.shutdown();
+
+    // The append after the cut is a line of its own: the log restarts.
+    let log = std::fs::read_to_string(&log_path).expect("job log");
+    assert_eq!(log.lines().count(), 2, "{log}");
+    assert!(log.ends_with('\n'), "{log}");
+    let server =
+        Server::start(test_config(store_dir.clone(), 1, 4)).expect("restart after an append");
+    assert_done(&server, &[&first, &second]);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
+fn a_corrupt_job_log_record_before_further_lines_refuses_to_start() {
+    let store_dir = scratch("corrupt_middle");
+    std::fs::create_dir_all(&store_dir).expect("store dir");
+    let job = AttackJob::from_json(&cell_job(1)).expect("job parses");
+    let log = format!(
+        "{{\"type\":\"job\",\"id\":1,\"jo\n{{\"type\":\"job\",\"id\":2,\"job\":{}}}\n",
+        job.to_json()
+    );
+    std::fs::write(store_dir.join("jobs.jsonl"), &log).expect("write log");
+    let err = Server::start(test_config(store_dir.clone(), 1, 4))
+        .expect_err("corruption before further records must refuse to start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(std::fs::read_to_string(store_dir.join("jobs.jsonl")).unwrap(), log);
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
+fn a_whole_final_job_log_record_without_its_newline_is_kept_and_terminated() {
+    let store_dir = scratch("unterminated");
+    std::fs::create_dir_all(&store_dir).expect("store dir");
+    let job = AttackJob::from_json(&cell_job(1)).expect("job parses");
+    let record = format!("{{\"type\":\"job\",\"id\":1,\"job\":{}}}", job.to_json());
+    std::fs::write(store_dir.join("jobs.jsonl"), &record).expect("write log");
+    let server = Server::start(test_config(store_dir.clone(), 1, 4)).expect("server starts");
+    assert_done(&server, &["job-1"]);
+    server.shutdown();
+    let log = std::fs::read_to_string(store_dir.join("jobs.jsonl")).expect("job log");
+    assert_eq!(log, format!("{record}\n"));
     let _ = std::fs::remove_dir_all(&store_dir);
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Serving-layer load benchmark: boots serve_cli in reactor mode on the
-# smoke dataset, drives an open-loop fan-out of concurrent connections
-# through loadgen twice — once closing the connection after every
+# Serving-layer load benchmark: boots serve_cli on the smoke dataset,
+# drives an open-loop fan-out of concurrent connections through
+# loadgen twice — once closing the connection after every
 # request, once with HTTP/1.1 keep-alive — waits every accepted job to
 # completion (zero accepted-job loss is part of the gate), gates the
 # keep-alive run at >= 1.5x the close-per-request throughput, and
@@ -40,7 +40,7 @@ rm -rf "$OUT"
 # The queue is sized to the whole submission set: this benchmark
 # measures the connection/submission path, so the open-loop burst must
 # not be refused at the queue (backpressure has its own test coverage).
-./target/release/serve_cli --addr "$ADDR" --reactor --smoke \
+./target/release/serve_cli --addr "$ADDR" --smoke \
     --workers 4 --queue "$TOTAL" \
     --tenant-rate 0 --tenant-quota 0 \
     --out "$OUT" &
